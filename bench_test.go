@@ -300,7 +300,7 @@ func BenchmarkSchedLoopDecima(b *testing.B) {
 // executor-retention regimes on the same batch. The hold benchmarks use
 // a small cluster (K=8) and 48-task stages so held executors serve several
 // task waves per stage — the regime where the hold-mode dispatch path
-// (and its historical per-task churn) dominates.
+// and its per-task expiry events dominate.
 func BenchmarkSchedLoopHoldOff(b *testing.B) {
 	cfg := benchTrace(b)
 	cfg.NumExecutors = 8
@@ -313,20 +313,6 @@ func BenchmarkSchedLoopHoldOn(b *testing.B) {
 	cfg.NumExecutors = 8
 	cfg.HoldExecutors = true
 	cfg.IdleTimeout = 60
-	jobs := schedBatch(8, 5, 48, 2, 120)
-	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler { return &sched.FIFO{} })
-}
-
-// BenchmarkSchedLoopHoldLegacyWakeups is HoldOn under the seed engine's
-// per-task expiry wake-up cadence (the compatibility mode the experiment
-// configs use); the events/op gap against HoldOn is the churn the
-// in-place continuation fix removes.
-func BenchmarkSchedLoopHoldLegacyWakeups(b *testing.B) {
-	cfg := benchTrace(b)
-	cfg.NumExecutors = 8
-	cfg.HoldExecutors = true
-	cfg.IdleTimeout = 60
-	cfg.LegacyHoldWakeups = true
 	jobs := schedBatch(8, 5, 48, 2, 120)
 	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler { return &sched.FIFO{} })
 }

@@ -73,12 +73,7 @@ func (c Config) SimConfig(tr *carbon.Trace) sim.Config {
 		PerJobCap:     c.PerJobCap,
 		HoldExecutors: true,
 		IdleTimeout:   c.IdleTimeout,
-		// The paper tables were produced under the seed engine's
-		// per-task hold-expiry wake-ups; keep that cadence so published
-		// artifacts stay byte-identical (see sim.Config.LegacyHoldWakeups
-		// and DESIGN.md).
-		LegacyHoldWakeups: true,
-		Seed:              c.Seed,
+		Seed:          c.Seed,
 	}
 }
 

@@ -342,12 +342,7 @@ func simConfig(tr *carbon.Trace, seed int64) sim.Config {
 		MoveDelay:     1,
 		HoldExecutors: true,
 		IdleTimeout:   60,
-		// The published tables were generated under the seed engine's
-		// per-task hold-expiry wake-up cadence, which deferring
-		// schedulers can observe; opt into it so every artifact stays
-		// byte-identical (sim.Config.LegacyHoldWakeups, DESIGN.md).
-		LegacyHoldWakeups: true,
-		Seed:              seed,
+		Seed:          seed,
 	}
 }
 

@@ -252,10 +252,3 @@ func renderTimeline(name string, s *optimal.Schedule, inst optimal.Instance) str
 	b.WriteString("|\n")
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

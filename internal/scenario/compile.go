@@ -315,7 +315,7 @@ func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 // Spark-standalone simulator environment (§5.2) or the Kubernetes
 // prototype (§6.3), with the spec's engine overrides applied. The
 // defaults reproduce the experiment engine's simConfig/protoConfig
-// byte-for-byte, LegacyHoldWakeups included (DESIGN.md).
+// byte-for-byte.
 func (r *runEnv) baseConfig(tr *carbon.Trace, cellSeed int64, m member) sim.Config {
 	var cfg sim.Config
 	if r.spec.Proto {
@@ -324,13 +324,12 @@ func (r *runEnv) baseConfig(tr *carbon.Trace, cellSeed int64, m member) sim.Conf
 		cfg = c.SimConfig(tr)
 	} else {
 		cfg = sim.Config{
-			NumExecutors:      100,
-			Trace:             tr,
-			MoveDelay:         1,
-			HoldExecutors:     true,
-			IdleTimeout:       60,
-			LegacyHoldWakeups: true,
-			Seed:              cellSeed,
+			NumExecutors:  100,
+			Trace:         tr,
+			MoveDelay:     1,
+			HoldExecutors: true,
+			IdleTimeout:   60,
+			Seed:          cellSeed,
 		}
 	}
 	if e := r.spec.Engine; e != nil {

@@ -3,18 +3,17 @@ package sim
 type eventKind int
 
 const (
-	evArrival eventKind = iota
-	evTaskDone
+	evTaskDone eventKind = iota
 	evCarbon
 	evHoldExpire
 )
 
-// event is one entry in the simulation's future-event list.
+// event is one entry in the simulation's future-event list. Job arrivals
+// are not events: the loop admits jobs from its own queue (Cluster.run).
 type event struct {
 	at   float64
 	kind eventKind
-	job  *JobRun   // evArrival
-	exec *executor // evTaskDone
+	exec *executor // evTaskDone, evHoldExpire
 	seq  int       // tiebreaker for deterministic ordering
 }
 
@@ -57,15 +56,15 @@ func (h *eventHeap) down(i int) {
 		if l >= n {
 			return
 		}
-		min := l
+		child := l
 		if r := l + 1; r < n && h.less(r, l) {
-			min = r
+			child = r
 		}
-		if !h.less(min, i) {
+		if !h.less(child, i) {
 			return
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
-		i = min
+		h.items[i], h.items[child] = h.items[child], h.items[i]
+		i = child
 	}
 }
 
@@ -142,15 +141,15 @@ func (h *intHeap) pop() int {
 		if l >= n {
 			break
 		}
-		min := l
+		child := l
 		if r := l + 1; r < n && s[r] < s[l] {
-			min = r
+			child = r
 		}
-		if s[min] >= s[i] {
+		if s[child] >= s[i] {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		s[i], s[child] = s[child], s[i]
+		i = child
 	}
 	if cp := cap(s); cp >= heapShrinkMin && n < cp/4 {
 		//hot:alloc heap shrink after a burst drains; amortized by the 4:1 hysteresis

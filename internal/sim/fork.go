@@ -17,23 +17,20 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pcaps/internal/dag"
 )
 
-// deferralSink receives NoteDeferral accounting for one group variant, so
-// shadow schedulers evaluated on shared state keep separate counters.
-type deferralSink struct {
+// groupVariant tracks one scheduler's progress through a group run,
+// with its own deferral counters: shadow schedulers evaluated on shared
+// state must never pollute each other's.
+type groupVariant struct {
+	s            Scheduler
 	deferrals    int
 	deferredWork float64
-}
-
-// groupVariant tracks one scheduler's progress through a group run.
-type groupVariant struct {
-	s      Scheduler
-	sink   deferralSink
-	result *Result
-	err    error
+	result       *Result
+	err          error
 }
 
 // forkable reports whether a configuration supports lockstep group
@@ -67,7 +64,7 @@ func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error
 		return results, nil
 	}
 
-	c, totalWork, err := newCluster(cfg, jobs)
+	c, err := newCluster(cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -75,36 +72,18 @@ func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error
 	for i, s := range scheds {
 		vs[i] = &groupVariant{s: s}
 	}
-	attached := append([]*groupVariant(nil), vs...)
-
-	events := 0
-	for c.events.Len() > 0 {
-		events++
-		if events > c.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
-		}
-		ev := c.pop()
-		c.advance(ev.at)
-		c.handleEvent(ev)
-		attached, err = c.scheduleGroup(attached, events, totalWork)
-		if err != nil {
-			return nil, err
-		}
-		if !c.unfinished() && c.noTaskPending() {
-			break
-		}
+	g := group(slices.Clone(vs))
+	if err := c.run(&g); err != nil {
+		return nil, err
 	}
-
 	// The master state is the final state of every still-attached variant.
-	for i, v := range attached {
-		c.deferrals = v.sink.deferrals
-		c.deferredWork = v.sink.deferredWork
+	for i, v := range g {
 		if i > 0 {
-			// Results must not share mutable backing arrays; buildResult
-			// reuses c.usage directly, so give later variants a copy.
-			c.usage = append([]float64(nil), c.usage...)
+			// Results must not share mutable backing arrays.
+			c.usage, c.jcts, c.jobCarbon = slices.Clone(c.usage), slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
 		}
-		v.result, v.err = c.buildResult(v.s.Name(), totalWork, events)
+		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
+		v.result, v.err = c.result(v.s.Name())
 	}
 	results := make([]*Result, len(vs))
 	for i, v := range vs {
@@ -116,162 +95,108 @@ func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error
 	return results, nil
 }
 
-// decisionEffect is the state transition a Decision produces: whether the
-// pass ends (defer), which stage gains executors under which normalized
-// limit, and how many executors bind. Two decisions with equal effects
-// leave the cluster in identical states, so a shadow variant stays
-// attached exactly while its effects match the master's.
-type decisionEffect struct {
-	deferred  bool
-	job       *JobRun
-	stage     *StageRun
-	guardFail bool
-	limit     int
-	binds     int
+// group is the lockstep Scheduler RunGroup runs the event loop under:
+// the variants still attached to the shared state, the first of which
+// (the master) decides.
+type group []*groupVariant
+
+func (g *group) Name() string { return (*g)[0].s.Name() }
+
+// Pick asks every attached variant for its decision on the shared state,
+// each with its own deferral counters. A variant whose decision would
+// change the state differently from the master's forks onto a clone of
+// the state and finishes there; the master's decision drives the loop.
+func (g *group) Pick(c *Cluster) Decision {
+	var d0 Decision
+	var e0 decisionEffect
+	keep := (*g)[:0]
+	for i, v := range *g {
+		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
+		d := v.s.Pick(c)
+		v.deferrals, v.deferredWork = c.deferrals, c.deferredWork
+		switch e := c.effectOf(d); {
+		case i == 0:
+			d0, e0 = d, e
+			keep = append(keep, v)
+		case e == e0:
+			keep = append(keep, v)
+		default:
+			v.fork(c, d)
+		}
+	}
+	*g = keep
+	return d0
 }
 
-// effectOf computes a decision's effect against the current cluster state
-// without applying it, mirroring assign's guard, limit normalization, and
-// bind loop in closed form.
+// decisionEffect is the state transition a Decision produces: a defer,
+// or the stage it targets with bindRule's limit and bind count. Two
+// decisions with equal effects leave the cluster in identical states, so
+// a shadow variant stays attached exactly while its effects match the
+// master's.
+type decisionEffect struct {
+	deferred bool
+	job      *JobRun
+	stage    *StageRun
+	limit    int
+	binds    int
+}
+
+// effectOf computes a decision's effect without applying it. bindRule's
+// ok flag is left out: it depends only on the job and stage.
 func (c *Cluster) effectOf(d Decision) decisionEffect {
 	if d.Defer {
 		return decisionEffect{deferred: true}
 	}
-	j, st := d.Ref.Job, d.Ref.Stage
-	e := decisionEffect{job: j, stage: st}
-	if j == nil || st == nil {
-		e.guardFail = true
-		return e
+	e := decisionEffect{job: d.Ref.Job, stage: d.Ref.Stage}
+	if e.job != nil && e.stage != nil {
+		e.limit, e.binds, _ = c.bindRule(d)
 	}
-	if !j.Arrived || j.Done || !st.Runnable() {
-		e.guardFail = true
-		return e
-	}
-	limit := d.Limit
-	if limit < 1 || limit > st.Stage.NumTasks {
-		limit = st.Stage.NumTasks
-	}
-	e.limit = limit
-	n := len(c.free)
-	if d.MaxNew > 0 && d.MaxNew < n {
-		n = d.MaxNew
-	}
-	if m := limit - st.Running; m < n {
-		n = m
-	}
-	if m := st.RemainingTasks(); m < n {
-		n = m
-	}
-	if c.cfg.PerJobCap > 0 {
-		if m := c.cfg.PerJobCap - j.Executors; m < n {
-			n = m
-		}
-	}
-	if n < 0 {
-		n = 0
-	}
-	e.binds = n
 	return e
 }
 
-// scheduleGroup runs one scheduling pass in lockstep: the hold-mode
-// dispatch (scheduler-independent) once, then per decision point every
-// attached variant's Pick on the shared state. Variants whose decision
-// effect diverges from the master's (variant 0) fork and finish on their
-// own clone; the master's decision then advances the shared state. The
-// returned slice holds the variants still attached.
-func (c *Cluster) scheduleGroup(attached []*groupVariant, events int, totalWork float64) ([]*groupVariant, error) {
-	if c.cfg.HoldExecutors && c.holdReadyCount > 0 {
-		c.dispatchReserved()
-	}
-	for c.IdleCount() > 0 {
-		if len(c.Runnable()) == 0 {
-			return attached, nil
-		}
-		c.sink = &attached[0].sink
-		d0 := attached[0].s.Pick(c)
-		e0 := c.effectOf(d0)
-		keep := attached[:1]
-		for _, v := range attached[1:] {
-			c.sink = &v.sink
-			d := v.s.Pick(c)
-			if c.effectOf(d) == e0 {
-				keep = append(keep, v)
-			} else {
-				v.finishForked(c, d, events, totalWork)
-			}
-		}
-		c.sink = nil
-		attached = keep
-		if d0.Defer {
-			return attached, nil
-		}
-		if d0.Ref.Stage == nil || d0.Ref.Job == nil {
-			return attached, fmt.Errorf("%w: %s returned empty decision", errNoProgress, attached[0].s.Name())
-		}
-		if n := c.assign(d0); n == 0 {
-			return attached, nil
-		}
-	}
-	return attached, nil
-}
-
-// finishForked detaches the variant at a divergent decision: clone the
-// shared state, replay the variant's own decision there, finish the
-// in-progress scheduling pass, and run the remaining event loop to
-// completion under the variant's scheduler.
-func (v *groupVariant) finishForked(master *Cluster, d Decision, events int, totalWork float64) {
+// fork detaches the variant at its divergent decision d: clone the
+// shared state (with the variant's deferral counters, which Pick has just
+// loaded), finish the open scheduling pass there with d replayed first,
+// and run the clone to completion under the variant's scheduler.
+func (v *groupVariant) fork(master *Cluster, d Decision) {
 	c, jm, sm := master.clone()
-	c.deferrals = v.sink.deferrals
-	c.deferredWork = v.sink.deferredWork
-	d.Ref.Job = jm[d.Ref.Job]
-	d.Ref.Stage = sm[d.Ref.Stage]
-	if err := c.resumePass(v.s, d); err != nil {
-		v.err = err
+	d.Ref.Job, d.Ref.Stage = jm[d.Ref.Job], sm[d.Ref.Stage]
+	if v.err = c.pass(&replay{Scheduler: v.s, d: &d}); v.err != nil {
 		return
 	}
-	ev, err := c.loopFrom(v.s, events)
-	if err != nil {
-		v.err = err
+	if v.err = c.run(v.s); v.err != nil {
 		return
 	}
-	v.result, v.err = c.buildResult(v.s.Name(), totalWork, ev)
+	v.result, v.err = c.result(v.s.Name())
 }
 
-// resumePass finishes the scheduling pass the fork interrupted, starting
-// from the variant's own divergent decision. The hold-mode dispatch
-// already ran on the master before any Pick, so the clone carries its
-// effects and the pass resumes at the decision loop.
-func (c *Cluster) resumePass(s Scheduler, d Decision) error {
-	for {
-		if d.Defer {
-			return nil
-		}
-		if d.Ref.Stage == nil || d.Ref.Job == nil {
-			return fmt.Errorf("%w: %s returned empty decision", errNoProgress, s.Name())
-		}
-		if n := c.assign(d); n == 0 {
-			return nil
-		}
-		if c.IdleCount() == 0 {
-			return nil
-		}
-		if len(c.Runnable()) == 0 {
-			return nil
-		}
-		d = s.Pick(c)
+// replay answers its first Pick with a recorded decision and every later
+// one from the wrapped scheduler. The clone's pass cannot skip that
+// first Pick: the master had idle executors and runnable work when it
+// asked, and the hold-mode pre-pass is a no-op (see schedule).
+type replay struct {
+	Scheduler
+	d *Decision
+}
+
+func (r *replay) Pick(c *Cluster) Decision {
+	if d := r.d; d != nil {
+		r.d = nil
+		return *d
 	}
+	return r.Scheduler.Pick(c)
 }
 
-// clone deep-copies the simulation state in memory: executors, job and
-// stage runtime records, the held/runnable indexes, both ID heaps, the
+// clone deep-copies the simulation state in memory: executors, the
+// runtime records of the active and pending jobs (completed jobs are
+// referenced by nothing), the held/runnable indexes, both ID heaps, the
 // event heap (sequence counter preserved — event ordering is part of the
-// trajectory), and the usage timeline. Immutable structure is shared:
-// *dag.Job and *dag.Stage are never mutated after validation, and the
-// carbon trace is read-only. The returned maps translate master JobRun
-// and StageRun pointers to their clones (for remapping in-flight
-// decision refs). The cluster RNG is rebuilt from the seed — forkable()
-// guarantees it was never drawn from.
+// trajectory), the usage timeline and the per-job results so far.
+// Immutable structure is shared: *dag.Job and *dag.Stage are never
+// mutated after validation, and the carbon trace is read-only. The
+// returned maps translate master JobRun and StageRun pointers to their
+// clones (for remapping in-flight decision refs). The cluster RNG is
+// rebuilt from the seed — forkable() guarantees it was never drawn from.
 func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRun) {
 	n := &Cluster{
 		cfg:            c.cfg,
@@ -281,6 +206,8 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 		activeCount:    c.activeCount,
 		holdReadyCount: c.holdReadyCount,
 		doneCount:      c.doneCount,
+		admitted:       c.admitted,
+		processed:      c.processed,
 		epoch:          c.epoch,
 		// Force the cached views to rebuild on first use in the clone.
 		runnableEpoch:    c.epoch - 1,
@@ -288,35 +215,39 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 		deferrals:        c.deferrals,
 		deferredWork:     c.deferredWork,
 		retries:          c.retries,
+		totalWork:        c.totalWork,
+		ect:              c.ect,
+		sumJCT:           c.sumJCT,
+		perJob:           c.perJob,
 		boundsClock:      c.boundsClock,
 		boundsLo:         c.boundsLo,
 		boundsHi:         c.boundsHi,
 	}
-	jm := make(map[*JobRun]*JobRun, len(c.jobs))
-	sm := make(map[*StageRun]*StageRun, len(c.jobs)*4)
-	n.jobs = make([]*JobRun, len(c.jobs))
-	for i, j := range c.jobs {
-		nj := &JobRun{}
-		*nj = *j
-		nj.Stages = make([]*StageRun, len(j.Stages))
-		for k, st := range j.Stages {
-			nst := &StageRun{}
-			*nst = *st
-			nj.Stages[k] = nst
-			sm[st] = nst
+	jm := make(map[*JobRun]*JobRun, len(c.active)+len(c.pending))
+	sm := make(map[*StageRun]*StageRun, 4*(len(c.active)+len(c.pending)))
+	cloneJobs := func(jobs []*JobRun) []*JobRun {
+		out := make([]*JobRun, len(jobs))
+		for i, j := range jobs {
+			nj := &JobRun{}
+			*nj = *j
+			nj.Stages = make([]*StageRun, len(j.Stages))
+			for k, st := range j.Stages {
+				nst := &StageRun{}
+				*nst = *st
+				nj.Stages[k] = nst
+				sm[st] = nst
+			}
+			nj.runnable = make([]*StageRun, len(j.runnable))
+			for k, st := range j.runnable {
+				nj.runnable[k] = sm[st]
+			}
+			nj.held = make([]*executor, len(j.held)) // filled after executors clone
+			out[i] = nj
+			jm[j] = nj
 		}
-		nj.runnable = make([]*StageRun, len(j.runnable))
-		for k, st := range j.runnable {
-			nj.runnable[k] = sm[st]
-		}
-		nj.held = make([]*executor, len(j.held)) // filled after executors clone
-		n.jobs[i] = nj
-		jm[j] = nj
+		return out
 	}
-	n.active = make([]*JobRun, len(c.active))
-	for i, j := range c.active {
-		n.active[i] = jm[j]
-	}
+	n.active, n.pending = cloneJobs(c.active), cloneJobs(c.pending)
 	n.execs = make([]*executor, len(c.execs))
 	for i, e := range c.execs {
 		ne := &executor{}
@@ -333,12 +264,12 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 	n.reservedIdle = append(intHeap(nil), c.reservedIdle...)
 	n.events = eventHeap{items: make([]event, len(c.events.items)), seq: c.events.seq}
 	for i, ev := range c.events.items {
-		ev.job = jm[ev.job]
 		if ev.exec != nil {
 			ev.exec = n.execs[ev.exec.id]
 		}
 		n.events.items[i] = ev
 	}
 	n.usage = append(make([]float64, 0, cap(c.usage)), c.usage...)
+	n.jcts, n.jobCarbon = slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
 	return n, jm, sm
 }

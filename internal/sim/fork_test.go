@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pcaps/internal/carbon"
+	"pcaps/internal/dag"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -84,25 +86,32 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					tr := mkTrace(t)
-					jobs := workload.Batch(workload.BatchConfig{
+					sorted := workload.Batch(workload.BatchConfig{
 						N: 12, MeanInterarrival: 45, Mix: workload.MixTPCH, Seed: seed,
 					})
+					// The reversed batch is not sorted by arrival: Run admits
+					// it in arrival order and a fork clones jobs not yet
+					// admitted.
+					reversed := slices.Clone(sorted)
+					slices.Reverse(reversed)
 					cfg := reg.cfg(tr, seed)
-					got, err := sim.RunGroup(cfg, jobs, g.mk(seed))
-					if err != nil {
-						t.Fatalf("RunGroup: %v", err)
-					}
-					// Fresh scheduler instances for the from-scratch runs:
-					// the group consumed the first set's internal state.
-					for i, s := range g.mk(seed) {
-						want, err := sim.Run(cfg, jobs, s)
+					for _, jobs := range [][]*dag.Job{sorted, reversed} {
+						got, err := sim.RunGroup(cfg, jobs, g.mk(seed))
 						if err != nil {
-							t.Fatalf("Run(%s): %v", s.Name(), err)
+							t.Fatalf("RunGroup: %v", err)
 						}
-						gb, wb := asJSON(t, got[i]), asJSON(t, want)
-						if gb != wb {
-							t.Errorf("variant %d (%s): grouped result differs from from-scratch run\n--- group ---\n%s\n--- scratch ---\n%s",
-								i, s.Name(), gb, wb)
+						// Fresh scheduler instances for the from-scratch runs:
+						// the group consumed the first set's internal state.
+						for i, s := range g.mk(seed) {
+							want, err := sim.Run(cfg, jobs, s)
+							if err != nil {
+								t.Fatalf("Run(%s): %v", s.Name(), err)
+							}
+							gb, wb := asJSON(t, got[i]), asJSON(t, want)
+							if gb != wb {
+								t.Errorf("first job %d, variant %d (%s): grouped result differs from from-scratch run\n--- group ---\n%s\n--- scratch ---\n%s",
+									jobs[0].ID, i, s.Name(), gb, wb)
+							}
 						}
 					}
 				})

@@ -20,51 +20,6 @@ func rootPlus(t testing.TB, rootTasks int, rootDur float64, siblings ...[2]float
 	return b.MustBuild()
 }
 
-// TestHoldDispatchContinuesInPlace is the hold-mode churn regression
-// test: a hold-dispatched stage now keeps its executor across task waves
-// (dispatchReserved sets the in-application FIFO's no-limit), where the
-// seed engine bounced every task through release → re-reserve →
-// idle-expiry event. Results must be unchanged for a deterministic
-// work-conserving scheduler; only the event count may drop.
-func TestHoldDispatchContinuesInPlace(t *testing.T) {
-	const tasks = 30
-	mk := func() *dag.Job {
-		b := dag.NewBuilder(0, "chainwide")
-		a := b.Stage("", 1, 5)
-		w := b.Stage("", tasks, 5)
-		b.Edge(a, w)
-		return b.MustBuild()
-	}
-	c := cfg(t, 1)
-	c.HoldExecutors = true
-	// A short timeout keeps every legacy expiry event inside the run, so
-	// the event-count gap below is deterministic (expiries scheduled
-	// within the last IdleTimeout seconds never fire — the run ends
-	// first).
-	c.IdleTimeout = 5
-
-	fixed, err := Run(c, []*dag.Job{mk()}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.LegacyHoldWakeups = true
-	legacy, err := Run(c, []*dag.Job{mk()}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.ECT != legacy.ECT || fixed.CarbonGrams != legacy.CarbonGrams {
-		t.Fatalf("fix changed results: ECT %v vs %v, carbon %v vs %v",
-			fixed.ECT, legacy.ECT, fixed.CarbonGrams, legacy.CarbonGrams)
-	}
-	// The wide stage is served by one held executor: the legacy path
-	// emitted one extra (stale) idle-expiry event per task except the
-	// final few whose expiries fall past the end of the run.
-	if legacy.Events-fixed.Events < tasks-5 {
-		t.Fatalf("expected ≥%d fewer events, got legacy %d vs fixed %d",
-			tasks-5, legacy.Events, fixed.Events)
-	}
-}
-
 // TestExpireHoldStaleByLaterReservation exercises the holdExpire
 // comparison: an expiry event from an earlier reservation fires while the
 // executor is held under a newer reservation and must be ignored, with

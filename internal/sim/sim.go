@@ -22,10 +22,12 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
@@ -69,21 +71,6 @@ type Config struct {
 	// the job's whole lifetime (standalone mode without dynamic
 	// allocation).
 	IdleTimeout float64
-	// LegacyHoldWakeups restores the seed engine's hold-mode task
-	// hand-off: every task completion released the executor to the job's
-	// held pool, re-dispatched it through the in-application FIFO at the
-	// same instant, and scheduled an idle-timeout expiry event — so each
-	// task produced an extra (almost always stale) expiry event whose
-	// processing was itself a scheduling event. Those spurious wake-ups
-	// are observable to deferring schedulers (CAP, PCAPS, GreenHadoop):
-	// each is an extra decision point at which a deferral can be
-	// reconsidered. The published experiment tables were produced under
-	// that cadence, so the experiment configs set this flag for
-	// byte-identical reproduction; new work should leave it false and
-	// get the fixed behaviour — a hold-dispatched stage keeps its
-	// executor across task waves (the in-place continuation), with no
-	// per-task expiry churn. See DESIGN.md.
-	LegacyHoldWakeups bool
 	// DurationJitter is the relative standard deviation of task
 	// durations (0 = deterministic).
 	DurationJitter float64
@@ -97,35 +84,22 @@ type Config struct {
 	// MaxEvents bounds the event loop as a hang guard; 0 selects a
 	// generous default.
 	MaxEvents int
-	// PerJobResults gates the O(jobs) Result slices (JCTs, JobCarbon).
-	// The zero value keeps them for Run (compatibility) and drops them
-	// for RunStream (memory-bounded by construction); PerJobOn / PerJobOff
-	// force either choice on either engine.
-	PerJobResults PerJob
+	// PerJobResults makes RunStream keep Result.JCTs and Result.JobCarbon,
+	// whose memory grows with the number of jobs. Run and RunGroup always
+	// keep them.
+	PerJobResults bool
 	// TrackJobUsage additionally records each job's busy
 	// executor-seconds per carbon interval (Result.JobUsage) — the
 	// per-job shading of the paper's occupancy plots (Fig. 6).
 	TrackJobUsage bool
-	// Observer, when non-nil, is invoked after each event's scheduling
-	// pass completes, with the cluster in a consistent scheduler-visible
-	// state — the capture point for Cluster.Snapshot exports. The
-	// callback must not mutate cluster state and must not retain the
-	// view slices across calls; Snapshot itself copies what it needs.
+	// Observer, when non-nil, is invoked after the scheduling pass of
+	// each admission and each event, with the cluster in a consistent
+	// scheduler-visible state — the capture point for Cluster.Snapshot
+	// exports. The callback must not mutate cluster state and must not
+	// retain the view slices across calls; Snapshot itself copies what it
+	// needs.
 	Observer func(c *Cluster)
 }
-
-// PerJob selects whether a run retains per-job result slices.
-type PerJob int
-
-const (
-	// PerJobDefault keeps per-job slices in Run and drops them in
-	// RunStream — each engine's historical/natural behaviour.
-	PerJobDefault PerJob = iota
-	// PerJobOn always records Result.JCTs and Result.JobCarbon.
-	PerJobOn
-	// PerJobOff always drops them; AvgJCT/ECT/CarbonGrams still come out.
-	PerJobOff
-)
 
 // StageRun is the runtime state of one stage of one job.
 type StageRun struct {
@@ -160,9 +134,10 @@ type JobRun struct {
 	StagesDone int
 	// Executors counts executors currently bound to the job.
 	Executors int
-	// Arrived reports whether the job's arrival event has fired.
+	// Arrived reports whether the job has been admitted.
 	Arrived bool
-	// index is the job's position in the batch, for usage attribution.
+	// index is the job's position in the batch (Run, RunGroup) or in
+	// admission order (RunStream). It indexes per-job results and usage.
 	index int
 	// Done reports completion; CompletedAt is its timestamp.
 	Done        bool
@@ -180,13 +155,13 @@ type JobRun struct {
 	// release never scan the whole cluster.
 	held []*executor
 	// arena backs Stages for pooled runs (RunStream): stage records live
-	// contiguously and are reused across recycles. Nil in the classic
-	// engine, where stage records are allocated individually.
+	// contiguously and are reused across recycles. Nil for a batch,
+	// whose stage records are allocated individually.
 	arena []StageRun
 	// gen distinguishes successive occupants of a recycled record:
 	// the pool increments it on every acquire, so pointer-keyed caches
 	// (sched's critical-path memo) can detect that a *JobRun they
-	// remember now runs a different job. Always 0 in the classic engine.
+	// remember now runs a different job. Always 0 for a batch.
 	gen int
 	// holdReady mirrors len(held) > 0 && len(runnable) > 0 — the job can
 	// serve a held executor right now. The cluster counts holdReady jobs
@@ -198,7 +173,7 @@ type JobRun struct {
 }
 
 // Generation returns the recycle count of this runtime record (always 0
-// outside the streaming engine). A (pointer, generation) pair is a
+// outside RunStream). A (pointer, generation) pair is a
 // stable identity for caches that outlive one job's run: when the
 // generation moves, the record was retired and now carries another job.
 func (j *JobRun) Generation() int { return j.gen }
@@ -279,7 +254,6 @@ type Cluster struct {
 	cfg    Config
 	clock  float64
 	execs  []*executor
-	jobs   []*JobRun
 	events eventHeap
 	rng    *rand.Rand
 	// busyCount counts executors running a task; activeCount adds the
@@ -309,13 +283,17 @@ type Cluster struct {
 	// scan over all jobs in unfinished().
 	doneCount int
 
-	// streaming marks a RunStream-driven cluster: jobs are admitted from
-	// a source (c.jobs stays empty), admitted counts them, srcDone
-	// records source exhaustion, and finishStage parks completed jobs in
-	// doneScratch for retirement after the event's scheduling pass.
-	streaming   bool
-	srcDone     bool
+	// Jobs enter through admission (admit). pending holds a batch's
+	// (Run, RunGroup) jobs not yet admitted, by arrival with ties in
+	// batch order; stream is RunStream's source, pool and reducers, nil
+	// for a batch. admitted counts admissions; processed counts
+	// admissions and events (Result.Events). finishStage parks a
+	// streamed job that completes in doneScratch, for retirement after
+	// the scheduling pass.
+	pending     []*JobRun
+	stream      *streamState
 	admitted    int
+	processed   int
 	doneScratch []*JobRun
 
 	// epoch counts state mutations that can change the scheduler-facing
@@ -340,12 +318,14 @@ type Cluster struct {
 	retries int
 	// jobUsage mirrors usage per job when Config.TrackJobUsage is set.
 	jobUsage [][]float64
-
-	// sink, when non-nil, receives NoteDeferral accounting instead of the
-	// cluster's own counters. The lockstep group runner (fork.go) points
-	// it at the per-variant sink before each scheduler's Pick so shadow
-	// schedulers evaluated on shared state never pollute each other.
-	sink *deferralSink
+	// totalWork sums the jobs' work in executor-seconds. Each completed
+	// job folds into ect and sumJCT, and, when perJob is set, into jcts
+	// and jobCarbon at its index.
+	totalWork   float64
+	ect, sumJCT float64
+	perJob      bool
+	jcts        []float64
+	jobCarbon   []float64
 
 	// boundsClock/boundsLo/boundsHi cache the oracle CarbonBounds for the
 	// current clock value: CAP-style wrappers query the bounds on every
@@ -406,10 +386,6 @@ func (c *Cluster) RunningCount() int { return c.busyCount }
 
 // IdleCount returns the number of executors in the shared free pool.
 func (c *Cluster) IdleCount() int { return len(c.execs) - c.activeCount }
-
-// Jobs returns all jobs in arrival order (including future and finished
-// ones; check Arrived/Done).
-func (c *Cluster) Jobs() []*JobRun { return c.jobs }
 
 // invalidate marks every cached view stale. It must be called (at least
 // once) on any state change that can alter what schedulers observe:
@@ -472,17 +448,10 @@ func (c *Cluster) OutstandingWork() float64 {
 // NoteDeferral lets carbon-aware wrapper schedulers record a filtered
 // (deferred) stage so that the run report can estimate D(γ,c).
 func (c *Cluster) NoteDeferral(ref StageRef) {
-	var work float64
-	if ref.Stage != nil {
-		work = float64(ref.Stage.RemainingTasks()) * ref.Stage.Stage.TaskDuration
-	}
-	if c.sink != nil {
-		c.sink.deferrals++
-		c.sink.deferredWork += work
-		return
-	}
 	c.deferrals++
-	c.deferredWork += work
+	if ref.Stage != nil {
+		c.deferredWork += float64(ref.Stage.RemainingTasks()) * ref.Stage.Stage.TaskDuration
+	}
 }
 
 // errNoProgress guards against schedulers that return saturated stages.
@@ -496,14 +465,15 @@ type Result struct {
 	ECT float64
 	// AvgJCT is the mean job completion time (completion − arrival).
 	AvgJCT float64
-	// JCTs holds each job's completion time, indexed as cfg jobs. Nil
-	// when per-job results are disabled (Config.PerJobResults).
+	// JCTs holds each job's completion time, in batch order (Run,
+	// RunGroup) or admission order (RunStream). Nil for RunStream unless
+	// Config.PerJobResults is set.
 	JCTs []float64
 	// CarbonGrams is the total carbon footprint in gCO2eq assuming 1 kW
 	// per busy executor.
 	CarbonGrams float64
-	// JobCarbon holds each job's attributed footprint in gCO2eq. Nil
-	// when per-job results are disabled (Config.PerJobResults).
+	// JobCarbon holds each job's attributed footprint in gCO2eq, indexed
+	// as JCTs. Nil for RunStream unless Config.PerJobResults is set.
 	JobCarbon []float64
 	// Usage is busy executor-seconds per carbon interval (the timeline
 	// consumed by core.DecomposeSavings).
@@ -519,40 +489,39 @@ type Result struct {
 	Stream *StreamStats
 	// TaskRetries counts failed task attempts that were retried.
 	TaskRetries int
-	// TotalWork is the batch's total work in executor-seconds.
+	// TotalWork is the jobs' total work in executor-seconds.
 	TotalWork float64
-	// Events is the number of processed simulation events.
+	// Events is the number of processed admissions and simulation events.
 	Events int
 }
 
 // Run simulates the batch of jobs under the scheduler until every job
 // completes, returning the run summary. Jobs are deep-copied so templates
-// can be reused across runs.
+// can be reused across runs. The batch need not be sorted by arrival.
 func Run(cfg Config, jobs []*dag.Job, s Scheduler) (*Result, error) {
-	c, totalWork, err := newCluster(cfg, jobs)
+	c, err := newCluster(cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
-	events, err := c.loopFrom(s, 0)
-	if err != nil {
+	if err := c.run(s); err != nil {
 		return nil, err
 	}
-	return c.buildResult(s.Name(), totalWork, events)
+	return c.result(s.Name())
 }
 
 // newCluster validates the configuration and builds the initial cluster
-// state: executors in the free pool, cloned-and-validated jobs, arrival
-// events, and the first carbon-boundary event. It returns the batch's
-// total work in executor-seconds alongside the cluster.
-func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
+// state: executors in the free pool, the first carbon-boundary event,
+// and the batch's jobs, cloned, validated and queued for admission by
+// arrival with ties in batch order. RunStream passes no jobs.
+func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 	if cfg.Trace == nil {
-		return nil, 0, errors.New("sim: config requires a carbon trace")
+		return nil, errors.New("sim: config requires a carbon trace")
 	}
 	if cfg.NumExecutors < 1 {
-		return nil, 0, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
+		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
 	}
-	if len(jobs) == 0 {
-		return nil, 0, errors.New("sim: no jobs")
+	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
+		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
 	}
 	if cfg.ForecastHorizon <= 0 {
 		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
@@ -560,11 +529,8 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 20_000_000
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, 0, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
 
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1}
+	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1, perJob: true}
 	c.boundsClock = math.NaN() // cache starts invalid (clock starts at 0)
 	c.execs = make([]*executor, cfg.NumExecutors)
 	c.free = make(intHeap, 0, cfg.NumExecutors)
@@ -575,10 +541,15 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
 	// Preallocate the usage timeline to the trace length so the per-event
 	// accounting in advance never grows it.
 	c.usage = make([]float64, 0, len(cfg.Trace.Values))
+	// Seed carbon-boundary events lazily: push the first boundary; each
+	// handler pushes the next. This keeps the heap small on long traces.
+	if next := cfg.Trace.NextChange(0); !math.IsInf(next, 1) {
+		c.push(event{at: next, kind: evCarbon})
+	}
 	if cfg.TrackJobUsage {
 		c.jobUsage = make([][]float64, len(jobs))
 	}
-	var totalWork float64
+	c.pending = make([]*JobRun, len(jobs))
 	for idx, tpl := range jobs {
 		// Clone before validating: Validate normalizes edge lists in
 		// place, and templates are shared by concurrent runs (the
@@ -586,30 +557,108 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
 		// shared template must only ever be read.
 		j := tpl.Clone()
 		if err := j.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("sim: job %d: %w", tpl.ID, err)
+			return nil, fmt.Errorf("sim: job %d: %w", tpl.ID, err)
 		}
 		run := &JobRun{Job: j, Stages: make([]*StageRun, len(j.Stages)), index: idx}
 		for i, st := range j.Stages {
 			run.Stages[i] = &StageRun{Stage: st, ParentsLeft: len(st.Parents)}
 		}
-		c.jobs = append(c.jobs, run)
-		totalWork += j.TotalWork()
-		c.push(event{at: j.Arrival, kind: evArrival, job: run})
+		c.pending[idx] = run
+		c.totalWork += j.TotalWork()
 	}
-	// Seed carbon-boundary events lazily: push the first boundary; each
-	// handler pushes the next. This keeps the heap small on long traces.
-	if next := cfg.Trace.NextChange(0); !math.IsInf(next, 1) {
-		c.push(event{at: next, kind: evCarbon})
+	slices.SortStableFunc(c.pending, func(a, b *JobRun) int { return cmp.Compare(a.Job.Arrival, b.Job.Arrival) })
+	return c, nil
+}
+
+// run drives the one event loop of Run, RunStream and RunGroup until
+// every job has completed or nothing is left to happen. Each step is an
+// admission when the next job arrives no later than the earliest pending
+// event — at a tie the job comes first — and otherwise that event; a
+// scheduling pass follows every step.
+func (c *Cluster) run(s Scheduler) error {
+	for c.unfinished() || c.busyCount > 0 {
+		next := c.nextJob()
+		admit := next != nil && (c.events.Len() == 0 || next.Arrival <= c.events.items[0].at)
+		if !admit && c.events.Len() == 0 {
+			return nil
+		}
+		if c.processed++; c.processed > c.cfg.MaxEvents {
+			return fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
+		}
+		if admit {
+			if err := c.admit(); err != nil {
+				return err
+			}
+		} else {
+			ev := c.pop()
+			c.advance(ev.at)
+			c.handleEvent(ev)
+		}
+		if err := c.pass(s); err != nil {
+			return err
+		}
 	}
-	return c, totalWork, nil
+	return nil
+}
+
+// pass runs the scheduling pass that follows a step, shows the result to
+// the Observer, and retires the streamed jobs the step completed.
+func (c *Cluster) pass(s Scheduler) error {
+	if err := c.schedule(s); err != nil {
+		return err
+	}
+	if c.cfg.Observer != nil {
+		c.cfg.Observer(c)
+	}
+	c.retire()
+	return nil
+}
+
+// nextJob returns the job due for admission next, or nil when none is
+// left.
+func (c *Cluster) nextJob() *dag.Job {
+	if c.stream != nil {
+		return c.stream.next
+	}
+	if len(c.pending) > 0 {
+		return c.pending[0].Job
+	}
+	return nil
+}
+
+// admit activates the next job at its arrival time. A batch job was
+// cloned and validated by newCluster; a streamed job is checked here and
+// takes a pooled JobRun.
+func (c *Cluster) admit() error {
+	var jr *JobRun
+	if st := c.stream; st != nil {
+		j := st.next
+		if j.Arrival < st.lastArrival {
+			return fmt.Errorf("sim: job %d arrives at %v, before the prior admission at %v (sources must yield non-decreasing arrivals)", j.ID, j.Arrival, st.lastArrival)
+		}
+		st.lastArrival = j.Arrival
+		if err := j.Validate(); err != nil {
+			return fmt.Errorf("sim: job %d: %w", j.ID, err)
+		}
+		c.totalWork += j.TotalWork()
+		jr = st.pool.acquire(j, c.admitted)
+		st.backlog.Arrive(j.Arrival)
+		if err := st.fetch(); err != nil {
+			return err
+		}
+	} else {
+		jr, c.pending = c.pending[0], c.pending[1:]
+	}
+	c.admitted++
+	c.advance(jr.Job.Arrival)
+	c.arrive(jr)
+	return nil
 }
 
 // handleEvent applies one popped event's state transition (the clock must
 // already have advanced to ev.at).
 func (c *Cluster) handleEvent(ev event) {
 	switch ev.kind {
-	case evArrival:
-		c.arrive(ev.job)
 	case evTaskDone:
 		c.completeTask(ev.exec)
 	case evCarbon:
@@ -621,84 +670,81 @@ func (c *Cluster) handleEvent(ev event) {
 	}
 }
 
-// loopFrom drives the event loop to completion under one scheduler,
-// starting from the cluster's current state with `events` events already
-// processed (non-zero when resuming a forked clone). It returns the
-// cumulative event count.
-func (c *Cluster) loopFrom(s Scheduler, events int) (int, error) {
-	for c.events.Len() > 0 {
-		events++
-		if events > c.cfg.MaxEvents {
-			return events, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
+// record folds a job that has just completed into the run's outputs.
+//
+//pcaps:hotpath
+func (c *Cluster) record(j *JobRun) {
+	jct := j.CompletedAt - j.Job.Arrival
+	c.sumJCT += jct
+	c.ect = max(c.ect, j.CompletedAt)
+	if c.perJob {
+		for len(c.jcts) <= j.index {
+			//hot:alloc amortized growth of the per-job slices, which RunStream keeps only on request
+			c.jcts = append(c.jcts, 0)
+			//hot:alloc amortized growth of the per-job slices, which RunStream keeps only on request
+			c.jobCarbon = append(c.jobCarbon, 0)
 		}
-		ev := c.pop()
-		c.advance(ev.at)
-		c.handleEvent(ev)
-		if err := c.schedule(s); err != nil {
-			return events, err
-		}
-		if c.cfg.Observer != nil {
-			c.cfg.Observer(c)
-		}
-		if !c.unfinished() && c.noTaskPending() {
-			break
-		}
+		c.jcts[j.index] = jct
+		c.jobCarbon[j.index] = j.CarbonGrams
 	}
-	return events, nil
+	if st := c.stream; st != nil {
+		st.p50.Add(jct)
+		st.p95.Add(jct)
+		st.p99.Add(jct)
+		st.backlog.Complete(j.CompletedAt)
+	}
 }
 
-// buildResult assembles the run summary from a finished cluster.
-func (c *Cluster) buildResult(name string, totalWork float64, events int) (*Result, error) {
+// result assembles the run summary once the loop has ended.
+func (c *Cluster) result(name string) (*Result, error) {
+	if c.admitted == 0 {
+		return nil, errors.New("sim: no jobs")
+	}
+	if c.doneCount < c.admitted {
+		return nil, fmt.Errorf("sim: %d of %d admitted jobs did not complete", c.admitted-c.doneCount, c.admitted)
+	}
 	res := &Result{
 		Scheduler:    name,
+		ECT:          c.ect,
 		Usage:        c.usage,
 		JobUsage:     c.jobUsage,
 		Deferrals:    c.deferrals,
 		DeferredWork: c.deferredWork,
 		TaskRetries:  c.retries,
-		TotalWork:    totalWork,
-		Events:       events,
+		TotalWork:    c.totalWork,
+		Events:       c.processed,
 	}
-	perJob := c.cfg.PerJobResults != PerJobOff
-	var sumJCT float64
-	for _, j := range c.jobs {
-		if !j.Done {
-			return nil, fmt.Errorf("sim: job %d did not complete", j.Job.ID)
-		}
-		jct := j.CompletedAt - j.Job.Arrival
-		if perJob {
-			res.JCTs = append(res.JCTs, jct)
-			res.JobCarbon = append(res.JobCarbon, j.CarbonGrams)
-		}
-		sumJCT += jct
-		if j.CompletedAt > res.ECT {
-			res.ECT = j.CompletedAt
+	sum := c.sumJCT
+	if c.perJob {
+		// Sum in index order, so the runs that keep per-job results agree
+		// bit for bit whatever order their jobs completed in.
+		res.JCTs, res.JobCarbon, sum = c.jcts, c.jobCarbon, 0
+		for _, jct := range c.jcts {
+			sum += jct
 		}
 	}
-	res.AvgJCT = sumJCT / float64(len(c.jobs))
+	res.AvgJCT = sum / float64(c.admitted)
 	for i, u := range c.usage {
 		res.CarbonGrams += u * c.cfg.Trace.Values[min(i, len(c.cfg.Trace.Values)-1)] / 3600
+	}
+	if st := c.stream; st != nil {
+		res.Stream = &StreamStats{
+			Admitted:     c.admitted,
+			PeakInFlight: st.backlog.Peak(),
+			MeanInFlight: st.backlog.Mean(),
+			P50JCT:       st.p50.Value(),
+			P95JCT:       st.p95.Value(),
+			P99JCT:       st.p99.Value(),
+			RecycledRuns: st.pool.recycled,
+		}
 	}
 	return res, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// unfinished reports whether any job is incomplete. doneCount is
-// maintained at the single place a job completes (finishStage), replacing
-// the historical per-event scan over all jobs. A streaming cluster is
-// unfinished while its source has jobs left or an admitted job runs.
-func (c *Cluster) unfinished() bool {
-	if c.streaming {
-		return !c.srcDone || c.doneCount < c.admitted
-	}
-	return c.doneCount < len(c.jobs)
-}
+// unfinished reports whether a job is still to be admitted or to
+// complete. doneCount is maintained at the single place a job completes
+// (finishStage), replacing the historical per-event scan over all jobs.
+func (c *Cluster) unfinished() bool { return c.nextJob() != nil || c.doneCount < c.admitted }
 
 // updateHoldReady recomputes the job's holdReady bit and keeps the
 // cluster-wide count in sync. It must be called after any mutation of
@@ -714,9 +760,6 @@ func (c *Cluster) updateHoldReady(j *JobRun) {
 		}
 	}
 }
-
-// noTaskPending reports whether no task-completion events remain.
-func (c *Cluster) noTaskPending() bool { return c.busyCount == 0 }
 
 // arrive activates a job: it joins the active list (kept in batch order)
 // and its root stages enter the runnable index.
@@ -830,17 +873,18 @@ func (c *Cluster) advance(t float64) {
 // until the scheduler defers, no executors are idle, or nothing is
 // runnable.
 func (c *Cluster) schedule(s Scheduler) error {
+	// holdReadyCount > 0 iff some job has both a parked executor and
+	// runnable work; otherwise the drain pass is a guaranteed no-op (it
+	// would pop and re-push every waiting ID), so skip it. After the
+	// pre-pass no job both holds an executor and has a runnable stage,
+	// and binds cannot create such a job: they take free executors and
+	// only shrink runnable indexes. So the count stays zero for the rest
+	// of the pass, and a RunGroup fork taken at any Pick below can finish
+	// the pass through schedule (fork.go).
 	if c.cfg.HoldExecutors && c.holdReadyCount > 0 {
-		// holdReadyCount > 0 iff some job has both a parked executor and
-		// runnable work; otherwise the drain pass is a guaranteed no-op
-		// (it would pop and re-push every waiting ID), so skip it.
 		c.dispatchReserved()
 	}
-	for c.IdleCount() > 0 {
-		runnable := c.Runnable()
-		if len(runnable) == 0 {
-			return nil
-		}
+	for c.IdleCount() > 0 && len(c.Runnable()) > 0 {
 		d := s.Pick(c)
 		if d.Defer {
 			return nil
@@ -858,33 +902,45 @@ func (c *Cluster) schedule(s Scheduler) error {
 	return nil
 }
 
-// assign binds idle executors to the decision's stage, honouring the
-// parallelism limit, remaining tasks, and per-job cap. It returns the
-// number of executors bound. Executors come off the free list in
-// ascending-ID order, matching the historical whole-cluster scan.
-func (c *Cluster) assign(d Decision) int {
+// bindRule is the engine's one rule for what a decision on a stage does,
+// shared by assign, RunGroup's effect comparison and Place. It returns
+// the parallelism limit the decision puts in force (values below 1 or
+// above the stage's task count mean the task count) and how many free
+// executors it binds: the smallest of the free pool, MaxNew, the
+// headroom under the limit, the undispatched tasks, and the per-job cap's
+// headroom. ok is false when the job is not admitted or is done, or the
+// stage is not runnable; the decision then changes nothing.
+func (c *Cluster) bindRule(d Decision) (limit, n int, ok bool) {
 	j, st := d.Ref.Job, d.Ref.Stage
-	if !j.Arrived || j.Done || !st.Runnable() {
-		return 0
-	}
-	limit := d.Limit
+	limit = d.Limit
 	if limit < 1 || limit > st.Stage.NumTasks {
 		limit = st.Stage.NumTasks
 	}
-	st.Limit = limit
-	n := 0
-	for len(c.free) > 0 {
-		if d.MaxNew > 0 && n >= d.MaxNew {
-			break
-		}
-		if st.Running >= limit || st.RemainingTasks() == 0 {
-			break
-		}
-		if c.cfg.PerJobCap > 0 && j.Executors >= c.cfg.PerJobCap {
-			break
-		}
-		c.bind(c.execs[c.free.pop()], j, st)
-		n++
+	if !j.Arrived || j.Done || !st.Runnable() {
+		return limit, 0, false
+	}
+	n = min(len(c.free), limit-st.Running, st.RemainingTasks())
+	if d.MaxNew > 0 {
+		n = min(n, d.MaxNew)
+	}
+	if c.cfg.PerJobCap > 0 {
+		n = min(n, c.cfg.PerJobCap-j.Executors)
+	}
+	return limit, max(n, 0), true
+}
+
+// assign applies the decision: it puts the stage's limit in force and
+// binds bindRule's count of idle executors to it, off the free list in
+// ascending-ID order (matching the historical whole-cluster scan). It
+// returns the number bound.
+func (c *Cluster) assign(d Decision) int {
+	limit, n, ok := c.bindRule(d)
+	if !ok {
+		return 0
+	}
+	d.Ref.Stage.Limit = limit
+	for range n {
+		c.bind(c.execs[c.free.pop()], d.Ref.Job, d.Ref.Stage)
 	}
 	return n
 }
@@ -916,15 +972,10 @@ func (c *Cluster) dispatchReserved() {
 			e.inReservedIdle = true
 			continue
 		}
+		// The stage's limit is left as it is. Until a scheduler puts one
+		// in force, completeTask returns the executor to the held pool
+		// after every task, with a fresh expiry event (DESIGN.md §2.1).
 		st := j.runnable[0]
-		// Give the stage the in-application FIFO's "no limit" so the
-		// executor continues in place across its task waves instead of
-		// bouncing through release → re-reserve → expiry on every task.
-		// The legacy mode keeps the limit unset, reproducing the seed
-		// engine's per-task wake-up cadence (see Config.LegacyHoldWakeups).
-		if !c.cfg.LegacyHoldWakeups && st.Limit == 0 {
-			st.Limit = st.Stage.NumTasks
-		}
 		c.releaseHeld(e)
 		e.reserved = nil
 		e.busy = true
@@ -1091,7 +1142,8 @@ func (c *Cluster) finishStage(j *JobRun, st *StageRun) {
 				break
 			}
 		}
-		if c.streaming {
+		c.record(j)
+		if c.stream != nil {
 			c.doneScratch = append(c.doneScratch, j)
 		}
 	}

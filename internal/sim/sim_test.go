@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +187,41 @@ func TestArrivalsDelayStart(t *testing.T) {
 	}
 	if math.Abs(res.JCTs[0]-10) > 1e-9 {
 		t.Fatalf("JCT = %v, want 10", res.JCTs[0])
+	}
+}
+
+// TestRunUnsortedBatch pins how Run admits a batch that is not sorted by
+// arrival: by arrival, ties in batch order, with results reported in
+// batch order. Jobs 0 and 2 arrive at t=10, the instant job 1's task ends
+// on the one executor. Both are admitted before that completion is
+// processed (an admission beats an event at a tie), job 0 first; then
+// job 0, first in batch order, takes the executor. The Observer sees
+// the pass after every admission and every event.
+func TestRunUnsortedBatch(t *testing.T) {
+	jobs := []*dag.Job{chainJob(t, 0, 10), chainJob(t, 1, 10), chainJob(t, 2, 10)}
+	jobs[0].Arrival, jobs[1].Arrival, jobs[2].Arrival = 10, 0, 10
+	c := cfg(t, 1)
+	var seen []string
+	c.Observer = func(c *Cluster) {
+		s := fmt.Sprintf("t=%v:", c.Now())
+		for _, j := range c.ActiveJobs() {
+			s += fmt.Sprintf(" %d", j.Job.ID)
+		}
+		seen = append(seen, s)
+	}
+	res, err := Run(c, jobs, greedy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{10, 10, 20}; !reflect.DeepEqual(res.JCTs, want) {
+		t.Errorf("JCTs = %v, want %v in batch order", res.JCTs, want)
+	}
+	if res.ECT != 30 || res.Events != 6 {
+		t.Errorf("ECT = %v, Events = %d; want 30, 6", res.ECT, res.Events)
+	}
+	want := []string{"t=0: 1", "t=10: 0 1", "t=10: 0 1 2", "t=10: 0 2", "t=20: 2", "t=30:"}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observed passes %q, want %q", seen, want)
 	}
 }
 

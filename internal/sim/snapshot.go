@@ -254,7 +254,6 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		sort.Slice(run.runnable, func(a, b int) bool {
 			return run.runnable[a].Stage.ID < run.runnable[b].Stage.ID
 		})
-		c.jobs = append(c.jobs, run)
 		c.active = append(c.active, run)
 	}
 
@@ -272,10 +271,10 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		case ExecIdle:
 			c.free.push(id)
 		case ExecBusy, ExecHeld:
-			if es.Job < 0 || es.Job >= len(c.jobs) {
-				return nil, snapErr(field+".job", "job index %d outside [0, %d)", es.Job, len(c.jobs))
+			if es.Job < 0 || es.Job >= len(c.active) {
+				return nil, snapErr(field+".job", "job index %d outside [0, %d)", es.Job, len(c.active))
 			}
-			j := c.jobs[es.Job]
+			j := c.active[es.Job]
 			j.Executors++
 			c.activeCount++
 			if es.State == ExecHeld {
@@ -343,36 +342,11 @@ func (c *Cluster) Place(s Scheduler) Placement {
 		p.Defer = true
 		return p
 	}
-	j, st := d.Ref.Job, d.Ref.Stage
-	limit := d.Limit
-	if limit < 1 || limit > st.Stage.NumTasks {
-		limit = st.Stage.NumTasks
-	}
-	p.JobID = j.Job.ID
-	p.StageID = st.Stage.ID
+	limit, n, _ := c.bindRule(d)
+	p.JobID = d.Ref.Job.Job.ID
+	p.StageID = d.Ref.Stage.Stage.ID
 	p.Limit = limit
 	p.MaxNew = d.MaxNew
-	if !j.Arrived || j.Done || !st.Runnable() {
-		return p
-	}
-	// The closed form of assign's bind loop: each bind advances Running,
-	// Dispatched, and the job's executor count by one, so the bound
-	// count is the smallest of the four headrooms and the free pool.
-	n := limit - st.Running
-	if r := st.RemainingTasks(); n > r {
-		n = r
-	}
-	if d.MaxNew > 0 && n > d.MaxNew {
-		n = d.MaxNew
-	}
-	if c.cfg.PerJobCap > 0 {
-		if head := c.cfg.PerJobCap - j.Executors; n > head {
-			n = head
-		}
-	}
-	if n > len(c.free) {
-		n = len(c.free)
-	}
 	if n > 0 {
 		p.ExecutorIDs = c.free.peekN(n)
 	}
@@ -380,14 +354,8 @@ func (c *Cluster) Place(s Scheduler) Placement {
 }
 
 // peekN returns the n smallest entries in ascending order without
-// mutating the heap.
+// mutating the heap; 0 < n <= len(h).
 func (h intHeap) peekN(n int) []int {
-	if n > len(h) {
-		n = len(h)
-	}
-	if n <= 0 {
-		return nil
-	}
 	cp := append(intHeap(nil), h...)
 	out := make([]int, 0, n)
 	for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,5 +203,85 @@ func TestPlaceBindsFreeExecutors(t *testing.T) {
 	p2 := c.Place(fifoForTest{})
 	if !reflect.DeepEqual(p, p2) {
 		t.Errorf("Place mutated cluster state:\nfirst  %+v\nsecond %+v", p, p2)
+	}
+}
+
+// boundedPolicy is stateless: its decision is a function of the cluster
+// state alone, so a Place call and the live Pick after it agree. Its
+// limits and MaxNew vary by stage, so binds stop at every headroom.
+type boundedPolicy struct{}
+
+func (boundedPolicy) Name() string { return "bounded-test" }
+func (boundedPolicy) Pick(c *Cluster) Decision {
+	r := c.Runnable()
+	if len(r) == 0 {
+		return DeferDecision
+	}
+	ref := r[len(r)-1]
+	return Decision{Ref: ref, Limit: 1 + ref.Stage.Stage.ID%4, MaxNew: ref.Stage.Dispatched % 3}
+}
+
+// placeChecker runs boundedPolicy live. At each Pick it first records
+// what Place predicts, then checks at the next Pick or at the end of the
+// pass that exactly the predicted executors left the free pool, bound to
+// the predicted stage.
+type placeChecker struct {
+	t          *testing.T
+	want       *Placement
+	freeBefore []int
+	checked    int
+	bound      int
+}
+
+func (p *placeChecker) Name() string { return "place-checker" }
+func (p *placeChecker) Pick(c *Cluster) Decision {
+	p.verify(c)
+	pl := c.Place(boundedPolicy{})
+	p.want = &pl
+	p.freeBefore = slices.Sorted(slices.Values(c.free))
+	return boundedPolicy{}.Pick(c)
+}
+
+func (p *placeChecker) verify(c *Cluster) {
+	if p.want == nil {
+		return
+	}
+	var got []int
+	for _, id := range p.freeBefore {
+		if !slices.Contains(c.free, id) {
+			got = append(got, id)
+			if e := c.execs[id]; e.job.Job.ID != p.want.JobID || e.stage.Stage.ID != p.want.StageID {
+				p.t.Errorf("t=%v: executor %d bound to job %d stage %d, Place said job %d stage %d",
+					c.Now(), id, e.job.Job.ID, e.stage.Stage.ID, p.want.JobID, p.want.StageID)
+			}
+		}
+	}
+	if !slices.Equal(got, p.want.ExecutorIDs) {
+		p.t.Errorf("t=%v: pass bound %v, Place predicted %v (%+v)", c.Now(), got, p.want.ExecutorIDs, *p.want)
+	}
+	p.checked++
+	p.bound += len(got)
+	p.want = nil
+}
+
+func TestPlacePredictsLiveBind(t *testing.T) {
+	for _, hold := range []bool{false, true} {
+		jobs := workload.Batch(workload.BatchConfig{N: 10, MeanInterarrival: 15, Mix: workload.MixBoth, Seed: 5})
+		p := &placeChecker{t: t}
+		cfg := Config{
+			NumExecutors:  16,
+			Trace:         carbon.SynthesizeAll(48, 60, 5)["PJM"],
+			PerJobCap:     3,
+			MoveDelay:     1,
+			HoldExecutors: hold,
+			IdleTimeout:   5,
+			Observer:      p.verify,
+		}
+		if _, err := Run(cfg, jobs, p); err != nil {
+			t.Fatal(err)
+		}
+		if p.checked < 50 || p.bound == 0 {
+			t.Errorf("hold=%v: %d placements checked, %d executors bound; fixture too small", hold, p.checked, p.bound)
+		}
 	}
 }

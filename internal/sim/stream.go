@@ -1,20 +1,20 @@
 package sim
 
-// Hyperscale streaming mode (DESIGN.md §10). RunStream is the memory-
-// bounded twin of Run: jobs are admitted lazily from a JobSource as
-// their arrival times come due, completed jobs' runtime state is retired
-// eagerly back into a per-cluster pool (arena-backed stage records), and
-// per-job outputs fold into constant-memory streaming reducers. Peak
-// memory is proportional to the in-flight job count — offered load times
-// sojourn time — not to the total number of jobs simulated, which is
-// what lets one cluster process millions of jobs on thousands of
-// executors without materializing any O(jobs) state.
+// Hyperscale streaming mode (DESIGN.md §10). RunStream drives Run's
+// event loop with a different source of admissions: jobs are drawn
+// lazily from a JobSource as their arrival times come due, completed
+// jobs' runtime state is retired eagerly back into a per-cluster pool
+// (arena-backed stage records), and per-job outputs fold into
+// constant-memory streaming reducers. Peak memory is proportional to the
+// in-flight job count — offered load times sojourn time — not to the
+// total number of jobs simulated, which is what lets one cluster process
+// millions of jobs on thousands of executors without materializing any
+// O(jobs) state.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
@@ -30,8 +30,8 @@ type JobSource interface {
 }
 
 // SliceSource adapts an in-memory batch to the JobSource contract,
-// cloning each job on yield so shared templates stay read-only. It is
-// the bridge the equivalence tests drive both engines through.
+// cloning each job on yield so shared templates stay read-only. The
+// equivalence tests stream a batch through it to compare with Run.
 type SliceSource struct {
 	Jobs []*dag.Job
 	next int
@@ -67,42 +67,30 @@ type StreamStats struct {
 	RecycledRuns int
 }
 
-// streamState carries the reducers and retirement pool of one RunStream.
+// streamState is RunStream's side of a cluster: the source with its
+// one-job lookahead, the retirement pool, and the reducers.
 type streamState struct {
-	pool    runPool
-	backlog metrics.StreamBacklog
-	p50     *metrics.P2Quantile
-	p95     *metrics.P2Quantile
-	p99     *metrics.P2Quantile
-
-	perJob bool
-	// jcts/jobCarbon are indexed by admission order; only populated when
-	// perJob is set (PerJobOn defeats the memory bound by request).
-	jcts      []float64
-	jobCarbon []float64
-	// sumJCT accumulates completion-order JCT sums for the PerJobOff
-	// path; ect tracks the latest completion either way.
-	sumJCT float64
-	ect    float64
+	src         JobSource
+	next        *dag.Job // nil once the source is exhausted
+	lastArrival float64
+	pool        runPool
+	backlog     metrics.StreamBacklog
+	p50         *metrics.P2Quantile
+	p95         *metrics.P2Quantile
+	p99         *metrics.P2Quantile
 }
 
 // RunStream simulates jobs drawn lazily from src under the scheduler
-// until the source is exhausted and every admitted job completes. Small
-// batches produce summaries identical to Run (bit-for-bit when
-// PerJobResults is PerJobOn; AvgJCT differs only by float re-association
-// otherwise) — pinned by TestRunStreamMatchesRun — while memory stays
-// bounded by the in-flight job count.
+// until the source is exhausted and every admitted job completes. It
+// runs Run's event loop, so small batches produce summaries identical to
+// Run (bit-for-bit when PerJobResults is set; AvgJCT differs only by
+// float re-association otherwise) — pinned by TestRunStreamMatchesRun —
+// while memory stays bounded by the in-flight job count.
 //
 // TrackJobUsage and Observer are incompatible with state retirement
 // (both expose per-job state whose lifetime streaming deliberately
 // ends early) and are rejected.
 func RunStream(cfg Config, src JobSource, s Scheduler) (*Result, error) {
-	if cfg.Trace == nil {
-		return nil, errors.New("sim: config requires a carbon trace")
-	}
-	if cfg.NumExecutors < 1 {
-		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
-	}
 	if src == nil {
 		return nil, errors.New("sim: RunStream requires a job source")
 	}
@@ -112,188 +100,48 @@ func RunStream(cfg Config, src JobSource, s Scheduler) (*Result, error) {
 	if cfg.Observer != nil {
 		return nil, errors.New("sim: RunStream does not support Observer (retired state must not escape)")
 	}
-	if cfg.ForecastHorizon <= 0 {
-		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
-	}
-	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = 20_000_000
-	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
-
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1, streaming: true}
-	c.boundsClock = math.NaN()
-	c.execs = make([]*executor, cfg.NumExecutors)
-	c.free = make(intHeap, 0, cfg.NumExecutors)
-	for i := 0; i < cfg.NumExecutors; i++ {
-		c.execs[i] = &executor{id: i, lastJob: -1}
-		c.free.push(i)
-	}
-	c.usage = make([]float64, 0, len(cfg.Trace.Values))
-	if next := cfg.Trace.NextChange(0); !math.IsInf(next, 1) {
-		c.push(event{at: next, kind: evCarbon})
-	}
-
-	st := &streamState{
-		p50:    metrics.NewP2Quantile(0.50),
-		p95:    metrics.NewP2Quantile(0.95),
-		p99:    metrics.NewP2Quantile(0.99),
-		perJob: cfg.PerJobResults == PerJobOn,
-	}
-
-	var totalWork float64
-	nextJob, err := fetch(src)
+	c, err := newCluster(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	if nextJob == nil {
-		return nil, errors.New("sim: no jobs")
+	c.perJob = cfg.PerJobResults
+	c.stream = &streamState{
+		src:         src,
+		lastArrival: math.Inf(-1),
+		p50:         metrics.NewP2Quantile(0.50),
+		p95:         metrics.NewP2Quantile(0.95),
+		p99:         metrics.NewP2Quantile(0.99),
 	}
-	c.srcDone = false
-
-	events := 0
-	var lastArrival float64 = math.Inf(-1)
-	for {
-		// Admission beats the heap at ties: the classic engine seeds every
-		// arrival before any other event, so at equal timestamps arrivals
-		// carry the lowest sequence numbers and fire first. Reproducing
-		// that rule here is what makes the two trajectories identical.
-		admit := nextJob != nil && (c.events.Len() == 0 || nextJob.Arrival <= c.events.items[0].at)
-		if !admit && c.events.Len() == 0 {
-			break
-		}
-		events++
-		if events > c.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
-		}
-		if admit {
-			j := nextJob
-			if j.Arrival < lastArrival {
-				return nil, fmt.Errorf("sim: job %d arrives at %v, before the prior admission at %v (sources must yield non-decreasing arrivals)", j.ID, j.Arrival, lastArrival)
-			}
-			lastArrival = j.Arrival
-			if err := j.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: job %d: %w", j.ID, err)
-			}
-			totalWork += j.TotalWork()
-			c.advance(j.Arrival)
-			c.admit(st, j)
-			if nextJob, err = fetch(src); err != nil {
-				return nil, err
-			}
-			c.srcDone = nextJob == nil
-		} else {
-			ev := c.pop()
-			c.advance(ev.at)
-			c.handleEvent(ev)
-		}
-		if err := c.schedule(s); err != nil {
-			return nil, err
-		}
-		c.retire(st)
-		if !c.unfinished() && c.noTaskPending() {
-			break
-		}
+	if err := c.stream.fetch(); err != nil {
+		return nil, err
 	}
-	if c.doneCount < c.admitted {
-		return nil, fmt.Errorf("sim: %d of %d admitted jobs did not complete", c.admitted-c.doneCount, c.admitted)
+	if err := c.run(s); err != nil {
+		return nil, err
 	}
-	return c.buildStreamResult(s.Name(), st, totalWork, events)
+	return c.result(s.Name())
 }
 
-// fetch pulls the next job from the source, normalizing its error.
-func fetch(src JobSource) (*dag.Job, error) {
-	j, err := src.Next()
+// fetch pulls the source's next job into the lookahead.
+func (st *streamState) fetch() error {
+	j, err := st.src.Next()
 	if err != nil {
-		return nil, fmt.Errorf("sim: job source: %w", err)
+		return fmt.Errorf("sim: job source: %w", err)
 	}
-	return j, nil
+	st.next = j
+	return nil
 }
 
-// admit activates one source job: acquire a pooled JobRun, count it, and
-// run the same arrival transition the event handler applies.
+// retire returns the streamed jobs completed by the step just processed
+// to the pool. Retirement runs strictly after the step's scheduling
+// pass, when nothing in the cluster references the finished job.
 //
 //pcaps:hotpath
-func (c *Cluster) admit(st *streamState, j *dag.Job) {
-	jr := st.pool.acquire(j, c.admitted)
-	c.admitted++
-	st.backlog.Arrive(j.Arrival)
-	c.arrive(jr)
-}
-
-// retire drains the jobs completed by the event just processed: their
-// outputs fold into the reducers and their runtime records return to the
-// pool. Retirement runs strictly after the event's scheduling pass, when
-// nothing in the cluster references the finished job.
-//
-//pcaps:hotpath
-func (c *Cluster) retire(st *streamState) {
+func (c *Cluster) retire() {
 	for i, j := range c.doneScratch {
-		jct := j.CompletedAt - j.Job.Arrival
-		st.p50.Add(jct)
-		st.p95.Add(jct)
-		st.p99.Add(jct)
-		st.backlog.Complete(j.CompletedAt)
-		if st.perJob {
-			for len(st.jcts) <= j.index {
-				//hot:alloc amortized growth of the explicitly requested per-job slices
-				st.jcts = append(st.jcts, 0)
-				//hot:alloc amortized growth of the explicitly requested per-job slices
-				st.jobCarbon = append(st.jobCarbon, 0)
-			}
-			st.jcts[j.index] = jct
-			st.jobCarbon[j.index] = j.CarbonGrams
-		} else {
-			st.sumJCT += jct
-		}
-		if j.CompletedAt > st.ect {
-			st.ect = j.CompletedAt
-		}
-		st.pool.release(j)
+		c.stream.pool.release(j)
 		c.doneScratch[i] = nil
 	}
 	c.doneScratch = c.doneScratch[:0]
-}
-
-// buildStreamResult assembles the run summary from the reducers.
-func (c *Cluster) buildStreamResult(name string, st *streamState, totalWork float64, events int) (*Result, error) {
-	res := &Result{
-		Scheduler:    name,
-		ECT:          st.ect,
-		Usage:        c.usage,
-		Deferrals:    c.deferrals,
-		DeferredWork: c.deferredWork,
-		TaskRetries:  c.retries,
-		TotalWork:    totalWork,
-		Events:       events,
-	}
-	if st.perJob {
-		res.JCTs = st.jcts
-		res.JobCarbon = st.jobCarbon
-		// Sum in admission order — the exact float-op sequence of the
-		// classic buildResult, so the equivalence tests compare bits.
-		var sum float64
-		for _, jct := range st.jcts {
-			sum += jct
-		}
-		res.AvgJCT = sum / float64(c.admitted)
-	} else {
-		res.AvgJCT = st.sumJCT / float64(c.admitted)
-	}
-	for i, u := range c.usage {
-		res.CarbonGrams += u * c.cfg.Trace.Values[min(i, len(c.cfg.Trace.Values)-1)] / 3600
-	}
-	res.Stream = &StreamStats{
-		Admitted:     c.admitted,
-		PeakInFlight: st.backlog.Peak(),
-		MeanInFlight: st.backlog.Mean(),
-		P50JCT:       st.p50.Value(),
-		P95JCT:       st.p95.Value(),
-		P99JCT:       st.p99.Value(),
-		RecycledRuns: st.pool.recycled,
-	}
-	return res, nil
 }
 
 // runPool recycles JobRun records between admissions. Stage records live

@@ -92,7 +92,7 @@ func TestRunStreamRecyclesRuns(t *testing.T) {
 		t.Fatalf("streamed summary diverged from classic: stream %+v classic %+v", streamed, classic)
 	}
 	if streamed.JCTs != nil {
-		t.Fatal("PerJobDefault should drop per-job slices in RunStream")
+		t.Fatal("RunStream kept per-job slices without PerJobResults")
 	}
 }
 
@@ -102,7 +102,7 @@ func TestRunStreamRecyclesRuns(t *testing.T) {
 func TestRunStreamRepeatable(t *testing.T) {
 	jobs := burstJobs(t, 30)
 	cf := cfg(t, 3)
-	cf.PerJobResults = PerJobOn
+	cf.PerJobResults = true
 	first, err := RunStream(cf, &SliceSource{Jobs: jobs}, greedy{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRunStreamRepeatable(t *testing.T) {
 		t.Fatalf("repeated streams diverged:\n%s\n%s", a, b)
 	}
 	if len(first.JCTs) != 30 || len(first.JobCarbon) != 30 {
-		t.Fatalf("PerJobOn kept %d JCTs / %d JobCarbon, want 30", len(first.JCTs), len(first.JobCarbon))
+		t.Fatalf("PerJobResults kept %d JCTs / %d JobCarbon, want 30", len(first.JCTs), len(first.JobCarbon))
 	}
 }
 
@@ -164,7 +164,7 @@ func TestRunStreamHoldMode(t *testing.T) {
 	cf.HoldExecutors = true
 	cf.IdleTimeout = 30
 	cf.MoveDelay = 2
-	cf.PerJobResults = PerJobOn
+	cf.PerJobResults = true
 	classic, err := Run(cf, jobs, greedy{})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // hyperscale mode (DESIGN.md §10): for any (seed, policy, arrival shape)
 // cell, draining a workload.Source through sim.RunStream produces the
 // same summary as materializing the batch and running the classic
-// engine — canonical-JSON-identical with PerJobOn, which forces the
+// engine — canonical-JSON-identical with PerJobResults, which forces the
 // streaming path through the classic result arithmetic bit for bit.
 // The Stream sketch block is the one field the classic engine cannot
 // produce and is cleared before comparison.
@@ -68,12 +68,11 @@ func TestRunStreamMatchesRun(t *testing.T) {
 						MoveDelay:     1,
 						PerJobCap:     25,
 						Seed:          seed,
-						PerJobResults: sim.PerJobOn,
+						PerJobResults: true,
 					}
 					if pol.hold {
 						cfg.HoldExecutors = true
 						cfg.IdleTimeout = 60
-						cfg.LegacyHoldWakeups = true
 					}
 					classic, err := sim.Run(cfg, jobs, pol.make(seed))
 					if err != nil {
