@@ -220,6 +220,16 @@ func BenchmarkHyperscaleStreamSmoke(b *testing.B) { benchHyperscaleStream(b, 2_0
 func BenchmarkHyperscaleStream100k(b *testing.B)  { benchHyperscaleStream(b, 100_000, 1000) }
 func BenchmarkHyperscaleStream1M(b *testing.B)    { benchHyperscaleStream(b, 1_000_000, 1000) }
 
+// BenchmarkStreamFIFOScaling streams 20k FIFO jobs at 40% utilization
+// on K = 200, 1000 and 5000 executors. An event's engine cost does not
+// depend on K, so jobs/sec should fall only as much as the busier
+// cluster's deeper event heap and larger in-flight population cost.
+func BenchmarkStreamFIFOScaling(b *testing.B) {
+	for _, k := range []int{200, 1000, 5000} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) { benchHyperscaleStream(b, 20_000, k) })
+	}
+}
+
 // Scheduling-loop microbenchmarks: unlike the artifact benchmarks above,
 // these time the simulator's hot path directly — many small stages, high
 // executor counts, and executor-holding on and off — with allocs/op

@@ -75,6 +75,31 @@ func TestPlacementEnvelopes(t *testing.T) {
 	}
 }
 
+// TestPlacementRejectsUnknownDAGField checks that strict decoding reaches
+// inside the snapshot's job DAGs: a stage that spells "parents" as
+// "parent" must be a 400 naming the field, not a DAG with the edge
+// dropped and both stages runnable.
+func TestPlacementRejectsUnknownDAGField(t *testing.T) {
+	srv := httptest.NewServer(NewServer(nil, WithPlacements(stubPlacements{
+		func(*PlacementRequest) ([]sim.Placement, error) {
+			t.Error("request with an unknown DAG field reached the backend")
+			return nil, nil
+		},
+	})))
+	defer srv.Close()
+	body := `{"policy":{"kind":"fifo"},"snapshot":{"time_sec":0,"num_executors":1,
+		"carbon":{"grid":"DE","interval_sec":60,"values":[300],"forecast_horizon_sec":60,"forecast_low":300,"forecast_high":300},
+		"jobs":[{"dag":{"id":0,"name":"j","arrival_sec":0,"stages":[
+			{"num_tasks":1,"task_duration_sec":1},
+			{"num_tasks":1,"task_duration_sec":1,"parent":[0]}]},
+			"stages":[{"dispatched":0,"completed":0,"running":0},{"dispatched":0,"completed":0,"running":0}]}],
+		"executors":[{"state":"idle","job":-1,"stage":-1}]}}`
+	resp, msg := postPlacementBody(t, srv, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `"parent"`) {
+		t.Fatalf("status %d (%s), want 400 naming \"parent\"", resp.StatusCode, strings.TrimSpace(msg))
+	}
+}
+
 func TestPlacementErrorMapping(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,10 +95,14 @@ func (j *Job) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Job, validating the
-// decoded graph.
+// decoded graph. Unknown fields are rejected: a misspelled key such as
+// "parent" would otherwise drop a precedence edge without a word, and a
+// caller's strict decoder does not reach inside a custom unmarshaler.
 func (j *Job) UnmarshalJSON(data []byte) error {
 	var in jobJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return err
 	}
 	decoded := Job{ID: in.ID, Name: in.Name, Arrival: in.Arrival, Class: in.Class}

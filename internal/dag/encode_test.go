@@ -71,6 +71,22 @@ func TestUnmarshalRejectsBadGraphs(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsUnknownFields pins strict decoding at both levels
+// of the job object: a misspelled "parents" must not decode as a root
+// stage with its edge silently dropped.
+func TestUnmarshalRejectsUnknownFields(t *testing.T) {
+	for raw, field := range map[string]string{
+		`{"id":0,"stages":[{"num_tasks":1,"task_duration_sec":1},{"num_tasks":1,"task_duration_sec":1,"parent":[0]}]}`: "parent",
+		`{"id":0,"arrival":5,"stages":[{"num_tasks":1,"task_duration_sec":1}]}`:                                        "arrival",
+	} {
+		var j Job
+		err := json.Unmarshal([]byte(raw), &j)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %q", raw, err, field)
+		}
+	}
+}
+
 func TestQuickJSONRoundTripPreservesWork(t *testing.T) {
 	f := func(seed int64) bool {
 		j := randomJob(rand.New(rand.NewSource(seed)))

@@ -29,10 +29,10 @@ const hyperscaleRho = 0.4
 
 // hyperscaleCells is the full-mode scale matrix: the job-count and
 // executor-count axes the roadmap names, crossed. Full mode is a
-// deliberate heavyweight (the PCAPS 1M × 5000 cell dominates — Decima's
-// Pick is linear in the in-flight population, which scales with the
-// cluster under capacity-matched arrivals); budget on the order of an
-// hour. -fast runs one small cell in seconds.
+// deliberate heavyweight (the PCAPS cells dominate — Decima's Pick is
+// linear in the in-flight population, which scales with the cluster
+// under capacity-matched arrivals); DESIGN.md §10.5 lists the cells
+// that have been timed. -fast runs one small cell in seconds.
 var hyperscaleCells = []struct{ jobs, execs int }{
 	{100_000, 1000},
 	{100_000, 5000},

@@ -1,6 +1,11 @@
 package sim
 
-type eventKind int
+import (
+	"math/bits"
+	"slices"
+)
+
+type eventKind int32
 
 const (
 	evTaskDone eventKind = iota
@@ -10,11 +15,14 @@ const (
 
 // event is one entry in the simulation's future-event list. Job arrivals
 // are not events: the loop admits jobs from its own queue (Cluster.run).
+// An event holds no pointers — the executor is named by its ID — so it
+// packs into 24 bytes, heap moves need no write barriers, and the
+// collector never scans the heap.
 type event struct {
 	at   float64
+	seq  int   // tiebreaker for deterministic ordering
+	exec int32 // executor ID for evTaskDone and evHoldExpire
 	kind eventKind
-	exec *executor // evTaskDone, evHoldExpire
-	seq  int       // tiebreaker for deterministic ordering
 }
 
 // eventHeap is a min-heap on (at, seq). The sequence number makes
@@ -31,41 +39,24 @@ type eventHeap struct {
 
 func (h *eventHeap) Len() int { return len(h.items) }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.items[i].at != h.items[j].at {
-		return h.items[i].at < h.items[j].at
-	}
-	return h.items[i].seq < h.items[j].seq
+// before orders events by (at, seq).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-func (h *eventHeap) up(i int) {
+// siftUp fills the hole at i with ev, moving the hole up past every
+// ancestor that ev precedes.
+func (h *eventHeap) siftUp(i int, ev event) {
+	items := h.items
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		if !ev.before(&items[parent]) {
+			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i] = items[parent]
 		i = parent
 	}
-}
-
-func (h *eventHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		child := l
-		if r := l + 1; r < n && h.less(r, l) {
-			child = r
-		}
-		if !h.less(child, i) {
-			return
-		}
-		h.items[i], h.items[child] = h.items[child], h.items[i]
-		i = child
-	}
+	items[i] = ev
 }
 
 //pcaps:hotpath
@@ -75,26 +66,40 @@ func (c *Cluster) push(ev event) {
 	h.seq++
 	//hot:alloc amortized event-heap growth; steady state reuses the popped capacity
 	h.items = append(h.items, ev)
-	h.up(len(h.items) - 1)
+	h.siftUp(len(h.items)-1, ev)
 }
 
-// heapShrinkMin is the smallest backing-array capacity the pop paths
-// will release. Below it the memory at stake is a few KiB and shrinking
+// heapShrinkMin is the smallest backing-array capacity pop will
+// release. Below it the memory at stake is a few KiB and shrinking
 // would only cause reallocation churn; above it, a heap left at 1/4
 // occupancy after a burst drains is returned to half its capacity so a
 // long-running streaming simulation's footprint follows its load.
 const heapShrinkMin = 1024
 
+// pop removes the earliest event. It sifts bottom-up: the hole left at
+// the root walks down to a leaf along the smaller children, one
+// comparison per level, and the last element is dropped into it and
+// sifted up — usually only a level or two, since it came from the
+// bottom. Keys (at, seq) are unique, so the pop order is the same as a
+// classic top-down sift's.
+//
 //pcaps:hotpath
 func (c *Cluster) pop() event {
 	h := &c.events
 	top := h.items[0]
 	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	h.items[n] = event{} // drop pointers so finished runs free their jobs
+	last := h.items[n]
 	h.items = h.items[:n]
 	if n > 0 {
-		h.down(0)
+		items, i := h.items, 0
+		for l := 1; l < n; l = 2*i + 1 {
+			if r := l + 1; r < n && items[r].before(&items[l]) {
+				l = r
+			}
+			items[i] = items[l]
+			i = l
+		}
+		h.siftUp(i, last)
 	}
 	if cp := cap(h.items); cp >= heapShrinkMin && n < cp/4 {
 		//hot:alloc heap shrink after a burst drains; amortized by the 4:1 hysteresis
@@ -105,58 +110,66 @@ func (c *Cluster) pop() event {
 	return top
 }
 
-// intHeap is an allocation-free min-heap of executor IDs. The simulator
-// uses two: the shared idle pool and the reserved-but-idle set
-// (HoldExecutors mode). Popping in ascending-ID order reproduces exactly
-// the executor ordering of the historical O(K) scans, which is what keeps
-// the incremental core byte-identical to the seed engine.
-type intHeap []int
-
-//pcaps:hotpath
-func (h *intHeap) push(v int) {
-	//hot:alloc amortized executor-heap growth; capacity reaches K and stays
-	s := append(*h, v)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
+// idSet is a set of executor IDs in [0, K), one bit per executor. The
+// simulator keeps two: the shared idle pool and the reserved-idle set
+// (HoldExecutors mode). popMin takes the lowest ID by trailing-zero
+// count, so executors leave the pool in ascending-ID order — exactly the
+// order of the historical O(K) scans, which is what keeps the
+// incremental core byte-identical to the seed engine. lo is a hint: no
+// word below it has a bit set. Memory is fixed at ceil(K/64) words.
+type idSet struct {
+	words []uint64
+	n, lo int
 }
 
+func newIDSet(k int) idSet { return idSet{words: make([]uint64, (k+63)/64)} }
+
+func (s *idSet) len() int { return s.n }
+
+// add inserts an ID that is not in the set.
+//
 //pcaps:hotpath
-func (h *intHeap) pop() int {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			child = r
-		}
-		if s[child] >= s[i] {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
+func (s *idSet) add(id int) {
+	s.words[id>>6] |= 1 << (id & 63)
+	s.n++
+	s.lo = min(s.lo, id>>6)
+}
+
+// remove deletes an ID that is in the set.
+//
+//pcaps:hotpath
+func (s *idSet) remove(id int) {
+	s.words[id>>6] &^= 1 << (id & 63)
+	s.n--
+}
+
+// popMin removes and returns the lowest ID; the set must not be empty.
+//
+//pcaps:hotpath
+func (s *idSet) popMin() int {
+	for s.words[s.lo] == 0 {
+		s.lo++
 	}
-	if cp := cap(s); cp >= heapShrinkMin && n < cp/4 {
-		//hot:alloc heap shrink after a burst drains; amortized by the 4:1 hysteresis
-		ns := make(intHeap, n, cp/2)
-		copy(ns, s)
-		s = ns
+	w := s.words[s.lo]
+	s.words[s.lo] = w & (w - 1)
+	s.n--
+	return s.lo<<6 | bits.TrailingZeros64(w)
+}
+
+// peekN returns the n lowest IDs in ascending order without removing
+// them; n <= len().
+func (s *idSet) peekN(n int) []int {
+	out := make([]int, 0, n)
+	for wi := s.lo; len(out) < n; wi++ {
+		for w := s.words[wi]; w != 0 && len(out) < n; w &= w - 1 {
+			out = append(out, wi<<6|bits.TrailingZeros64(w))
+		}
 	}
-	*h = s
-	return top
+	return out
+}
+
+func (s *idSet) clone() idSet {
+	c := *s
+	c.words = slices.Clone(s.words)
+	return c
 }

@@ -189,9 +189,10 @@ func (r *replay) Pick(c *Cluster) Decision {
 
 // clone deep-copies the simulation state in memory: executors, the
 // runtime records of the active and pending jobs (completed jobs are
-// referenced by nothing), the held/runnable indexes, both ID heaps, the
-// event heap (sequence counter preserved — event ordering is part of the
-// trajectory), the usage timeline and the per-job results so far.
+// referenced by nothing), the held/runnable indexes, both executor ID
+// sets, the event heap (sequence counter preserved — event ordering is
+// part of the trajectory; events name executors by ID, so they copy
+// as they are), the usage timeline and the per-job results so far.
 // Immutable structure is shared: *dag.Job and *dag.Stage are never
 // mutated after validation, and the carbon trace is read-only. The
 // returned maps translate master JobRun and StageRun pointers to their
@@ -204,6 +205,7 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 		rng:            rand.New(rand.NewSource(c.cfg.Seed)),
 		busyCount:      c.busyCount,
 		activeCount:    c.activeCount,
+		runnableJobs:   c.runnableJobs,
 		holdReadyCount: c.holdReadyCount,
 		doneCount:      c.doneCount,
 		admitted:       c.admitted,
@@ -260,15 +262,8 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 			ne.reserved.held[ne.heldPos] = ne
 		}
 	}
-	n.free = append(make(intHeap, 0, cap(c.free)), c.free...)
-	n.reservedIdle = append(intHeap(nil), c.reservedIdle...)
-	n.events = eventHeap{items: make([]event, len(c.events.items)), seq: c.events.seq}
-	for i, ev := range c.events.items {
-		if ev.exec != nil {
-			ev.exec = n.execs[ev.exec.id]
-		}
-		n.events.items[i] = ev
-	}
+	n.free, n.reservedIdle = c.free.clone(), c.reservedIdle.clone()
+	n.events = eventHeap{items: slices.Clone(c.events.items), seq: c.events.seq}
 	n.usage = append(make([]float64, 0, cap(c.usage)), c.usage...)
 	n.jcts, n.jobCarbon = slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
 	return n, jm, sm

@@ -1,0 +1,181 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pcaps/internal/arrivals"
+	"pcaps/internal/carbon"
+	"pcaps/internal/dag"
+	"pcaps/internal/workload"
+)
+
+// checkBookkeeping recomputes by brute force, over all executors and
+// active jobs, what the cluster's incremental state claims: the free
+// set, the reserved-idle set, the runnable-job and hold-ready counts,
+// and each job's executor count, whose sum is the active count.
+func checkBookkeeping(t testing.TB, c *Cluster) {
+	t.Helper()
+	var idle, reservedIdle []int
+	attributed := map[*JobRun]int{}
+	for _, e := range c.execs {
+		switch {
+		case e.busy && e.reserved != nil:
+			t.Fatalf("t=%v: executor %d is busy and reserved", c.Now(), e.id)
+		case e.busy:
+			attributed[e.job]++
+		case e.reserved != nil:
+			reservedIdle = append(reservedIdle, e.id)
+			attributed[e.reserved]++
+		default:
+			idle = append(idle, e.id)
+		}
+	}
+	if got := c.free.peekN(c.free.len()); !slices.Equal(got, idle) || c.IdleCount() != len(idle) {
+		t.Fatalf("t=%v: free set %v (IdleCount %d), idle executors %v", c.Now(), got, c.IdleCount(), idle)
+	}
+	if got := c.reservedIdle.peekN(c.reservedIdle.len()); !slices.Equal(got, reservedIdle) {
+		t.Fatalf("t=%v: reserved-idle set %v, idle reserved executors %v", c.Now(), got, reservedIdle)
+	}
+	runnable, holdReady, executors := 0, 0, 0
+	for _, j := range c.active {
+		if len(j.runnable) > 0 {
+			runnable++
+			if len(j.held) > 0 {
+				holdReady++
+			}
+		}
+		if j.Executors != attributed[j] {
+			t.Fatalf("t=%v: job %d counts %d executors, %d are bound to or held by it", c.Now(), j.Job.ID, j.Executors, attributed[j])
+		}
+		executors += j.Executors
+	}
+	if c.runnableJobs != runnable || c.holdReadyCount != holdReady {
+		t.Fatalf("t=%v: runnableJobs %d holdReadyCount %d, jobs say %d and %d", c.Now(), c.runnableJobs, c.holdReadyCount, runnable, holdReady)
+	}
+	if executors != c.activeCount {
+		t.Fatalf("t=%v: jobs count %d executors, activeCount is %d", c.Now(), executors, c.activeCount)
+	}
+}
+
+// checkCarbonAttribution demands that the per-job footprints add up to
+// the run's total, which the usage timeline computes independently.
+func checkCarbonAttribution(t testing.TB, res *Result) {
+	t.Helper()
+	var sum float64
+	for _, g := range res.JobCarbon {
+		sum += g
+	}
+	if math.Abs(sum-res.CarbonGrams) > 1e-9*math.Abs(res.CarbonGrams) {
+		t.Fatalf("%s: per-job carbon sums to %v, run total is %v", res.Scheduler, sum, res.CarbonGrams)
+	}
+}
+
+// bookkept wraps a scheduler, checking the bookkeeping at every Pick.
+type bookkept struct {
+	Scheduler
+	t     testing.TB
+	picks int
+}
+
+func (b *bookkept) Pick(c *Cluster) Decision {
+	checkBookkeeping(b.t, c)
+	b.picks++
+	return b.Scheduler.Pick(c)
+}
+
+// invariantJobs is a mixed TPC-H/Alibaba batch dense enough to queue.
+func invariantJobs(t testing.TB, seed int64) []*dag.Job {
+	t.Helper()
+	jobs, err := workload.Generate(workload.GenConfig{N: 6, Arrivals: arrivals.Poisson{MeanSec: 10}, Mix: workload.MixBoth, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// TestBookkeepingAfterEveryPass checks the incremental state after every
+// pass of Run, in pool and hold mode with a per-job cap, move delay and
+// failure injection, and checks that a snapshot restored from each
+// observed state derives the same counters.
+func TestBookkeepingAfterEveryPass(t *testing.T) {
+	tr := carbon.SynthesizeAll(12, 60, 3)["CAISO"]
+	for _, hold := range []bool{false, true} {
+		for _, seed := range []int64{1, 2} {
+			passes := 0
+			cfg := Config{
+				NumExecutors:  10,
+				Trace:         tr,
+				PerJobCap:     4,
+				MoveDelay:     1,
+				FailureRate:   0.1,
+				HoldExecutors: hold,
+				IdleTimeout:   8,
+				Seed:          seed,
+			}
+			cfg.Observer = func(c *Cluster) {
+				passes++
+				checkBookkeeping(t, c)
+				r, err := c.Snapshot().Restore()
+				if err != nil {
+					t.Fatalf("restore at t=%v: %v", c.Now(), err)
+				}
+				checkBookkeeping(t, r)
+				if r.runnableJobs != c.runnableJobs || r.holdReadyCount != c.holdReadyCount {
+					t.Fatalf("t=%v: restored counts %d/%d, live %d/%d", c.Now(), r.runnableJobs, r.holdReadyCount, c.runnableJobs, c.holdReadyCount)
+				}
+			}
+			res, err := Run(cfg, invariantJobs(t, seed), &chaosScheduler{rng: rand.New(rand.NewSource(seed))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if passes < 100 || res.TaskRetries == 0 {
+				t.Fatalf("hold=%v seed=%d: %d passes, %d retries; fixture too small", hold, seed, passes, res.TaskRetries)
+			}
+			checkCarbonAttribution(t, res)
+		}
+	}
+}
+
+// TestBookkeepingAtEveryPick checks the incremental state at every Pick
+// of RunStream and of every RunGroup variant — those attached to the
+// shared state and those forked off it — in pool and hold mode.
+func TestBookkeepingAtEveryPick(t *testing.T) {
+	tr := carbon.SynthesizeAll(12, 60, 3)["DE"]
+	for _, hold := range []bool{false, true} {
+		cfg := Config{NumExecutors: 12, Trace: tr, MoveDelay: 1, HoldExecutors: hold, IdleTimeout: 8, PerJobResults: true}
+		jobs := invariantJobs(t, 7)
+
+		s := &bookkept{Scheduler: &chaosScheduler{rng: rand.New(rand.NewSource(7))}, t: t}
+		res, err := RunStream(cfg, &SliceSource{Jobs: jobs}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.picks == 0 {
+			t.Fatalf("hold=%v: RunStream made no Pick", hold)
+		}
+		checkCarbonAttribution(t, res)
+
+		// greedy and its limited twin share a prefix; the chaos variants
+		// fork off at once.
+		var scheds []Scheduler
+		for _, inner := range []Scheduler{
+			greedy{}, &pickWithLimit{limit: 2}, boundedPolicy{},
+			&chaosScheduler{rng: rand.New(rand.NewSource(1))}, &chaosScheduler{rng: rand.New(rand.NewSource(2))},
+		} {
+			scheds = append(scheds, &bookkept{Scheduler: inner, t: t})
+		}
+		results, err := RunGroup(cfg, jobs, scheds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if scheds[i].(*bookkept).picks == 0 {
+				t.Fatalf("hold=%v: RunGroup variant %d made no Pick", hold, i)
+			}
+			checkCarbonAttribution(t, r)
+		}
+	}
+}

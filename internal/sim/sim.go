@@ -12,13 +12,14 @@
 // to gCO2eq afterwards, so accounting never perturbs scheduling.
 //
 // The scheduling core is incremental (see DESIGN.md): the cluster
-// maintains a per-job runnable-stage index, an idle-executor free list,
-// and per-job held-executor lists, all updated only at the transitions
-// that can change them — job arrival, task dispatch, stage finish,
-// hold expiry, and job completion. The Runnable/ActiveJobs/
-// OutstandingWork accessors are epoch-cached views over that state, so
-// the repeated Pick calls within one scheduling event cost no allocations
-// and no full-state rescans.
+// maintains a per-job runnable-stage index, bitmap sets of free and
+// reserved-idle executors, per-job held-executor lists, and counts of
+// jobs with runnable work, all updated only at the transitions that can
+// change them — job arrival, task dispatch, stage finish, hold expiry,
+// and job completion. The Runnable/ActiveJobs/OutstandingWork accessors
+// are epoch-cached views over that state, so the repeated Pick calls
+// within one scheduling event cost no allocations and no full-state
+// rescans.
 package sim
 
 import (
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -163,13 +165,15 @@ type JobRun struct {
 	// (sched's critical-path memo) can detect that a *JobRun they
 	// remember now runs a different job. Always 0 for a batch.
 	gen int
-	// holdReady mirrors len(held) > 0 && len(runnable) > 0 — the job can
-	// serve a held executor right now. The cluster counts holdReady jobs
-	// so the hold-mode dispatch pass is skipped entirely when no job has
-	// both a parked executor and runnable work (the common case: after
-	// every dispatch pass the count returns to zero, and it only rises
-	// again at a stage finish, hold, or arrival transition).
-	holdReady bool
+	// ready mirrors len(runnable) > 0, and holdReady mirrors ready &&
+	// len(held) > 0 — the job can serve a held executor right now. The
+	// cluster counts both (updateReady): the scheduling loop stops at
+	// once when no job has a runnable stage, and the hold-mode dispatch
+	// pass is skipped entirely when no job has both a parked executor
+	// and runnable work (the common case: after every dispatch pass that
+	// count returns to zero, and it only rises again at a stage finish,
+	// hold, or arrival transition).
+	ready, holdReady bool
 }
 
 // Generation returns the recycle count of this runtime record (always 0
@@ -244,9 +248,6 @@ type executor struct {
 	// heldPos is this executor's index in reserved.held, for O(1)
 	// removal. Meaningless when reserved is nil.
 	heldPos int
-	// inReservedIdle marks that the executor's ID is present in the
-	// cluster's reservedIdle heap (entries are removed lazily).
-	inReservedIdle bool
 }
 
 // Cluster is the simulation state exposed to schedulers.
@@ -264,18 +265,15 @@ type Cluster struct {
 
 	// free holds the IDs of executors in the shared idle pool, popped in
 	// ascending order so assignment matches the historical full scan.
-	free intHeap
+	free idSet
 	// reservedIdle holds the IDs of executors that are held by a job and
-	// awaiting work (HoldExecutors mode). Entries go stale when an
-	// executor is released or dispatched; staleness is detected on pop
-	// via the executor's own state, and inReservedIdle keeps each ID at
-	// most once in the heap.
-	reservedIdle intHeap
-	// reservedScratch is reused by dispatchReserved's drain.
-	reservedScratch []int
-	// holdReadyCount counts jobs with holdReady set; dispatchReserved is
-	// a guaranteed no-op while it is zero.
-	holdReadyCount int
+	// awaiting work (HoldExecutors mode). An executor leaves it when it is
+	// dispatched, its hold expires, or its job completes.
+	reservedIdle idSet
+	// runnableJobs counts jobs with ready set: the scheduling loop's
+	// guard. holdReadyCount counts jobs with holdReady set;
+	// dispatchReserved is a guaranteed no-op while it is zero.
+	runnableJobs, holdReadyCount int
 	// active lists arrived, incomplete jobs in batch order — the
 	// incremental form of the historical scan over all jobs.
 	active []*JobRun
@@ -533,10 +531,10 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1, perJob: true}
 	c.boundsClock = math.NaN() // cache starts invalid (clock starts at 0)
 	c.execs = make([]*executor, cfg.NumExecutors)
-	c.free = make(intHeap, 0, cfg.NumExecutors)
+	c.free, c.reservedIdle = newIDSet(cfg.NumExecutors), newIDSet(cfg.NumExecutors)
 	for i := 0; i < cfg.NumExecutors; i++ {
 		c.execs[i] = &executor{id: i, lastJob: -1}
-		c.free.push(i)
+		c.free.add(i)
 	}
 	// Preallocate the usage timeline to the trace length so the per-event
 	// accounting in advance never grows it.
@@ -660,13 +658,13 @@ func (c *Cluster) admit() error {
 func (c *Cluster) handleEvent(ev event) {
 	switch ev.kind {
 	case evTaskDone:
-		c.completeTask(ev.exec)
+		c.completeTask(c.execs[ev.exec])
 	case evCarbon:
 		if next := c.cfg.Trace.NextChange(c.clock); !math.IsInf(next, 1) && c.unfinished() {
 			c.push(event{at: next, kind: evCarbon})
 		}
 	case evHoldExpire:
-		c.expireHold(ev.exec)
+		c.expireHold(c.execs[ev.exec])
 	}
 }
 
@@ -746,17 +744,23 @@ func (c *Cluster) result(name string) (*Result, error) {
 // (finishStage), replacing the historical per-event scan over all jobs.
 func (c *Cluster) unfinished() bool { return c.nextJob() != nil || c.doneCount < c.admitted }
 
-// updateHoldReady recomputes the job's holdReady bit and keeps the
-// cluster-wide count in sync. It must be called after any mutation of
-// j.held or j.runnable (and is cheap enough to call unconditionally).
-func (c *Cluster) updateHoldReady(j *JobRun) {
-	r := len(j.held) > 0 && len(j.runnable) > 0
-	if r != j.holdReady {
-		j.holdReady = r
-		if r {
-			c.holdReadyCount++
+// updateReady recomputes the job's ready and holdReady bits and keeps
+// the cluster-wide counts in sync. It must be called after any mutation
+// of j.held or j.runnable (and is cheap enough to call unconditionally).
+func (c *Cluster) updateReady(j *JobRun) {
+	setCounted(&j.ready, len(j.runnable) > 0, &c.runnableJobs)
+	setCounted(&j.holdReady, j.ready && len(j.held) > 0, &c.holdReadyCount)
+}
+
+// setCounted sets *flag to v, keeping *count equal to the number of set
+// flags.
+func setCounted(flag *bool, v bool, count *int) {
+	if *flag != v {
+		*flag = v
+		if v {
+			*count++
 		} else {
-			c.holdReadyCount--
+			*count--
 		}
 	}
 }
@@ -782,7 +786,7 @@ func (c *Cluster) arrive(j *JobRun) {
 			j.runnable = append(j.runnable, s)
 		}
 	}
-	c.updateHoldReady(j)
+	c.updateReady(j)
 	c.invalidate()
 }
 
@@ -797,7 +801,7 @@ func (c *Cluster) noteDispatch(j *JobRun, st *StageRun) {
 				break
 			}
 		}
-		c.updateHoldReady(j)
+		c.updateReady(j)
 	}
 	c.invalidate()
 }
@@ -812,11 +816,14 @@ func (c *Cluster) insertRunnable(j *JobRun, st *StageRun) {
 	j.runnable = append(j.runnable, nil)
 	copy(j.runnable[i+1:], j.runnable[i:])
 	j.runnable[i] = st
-	c.updateHoldReady(j)
+	c.updateReady(j)
 }
 
 // advance moves the clock to t, accumulating busy executor-seconds into
 // the per-carbon-interval usage timeline and per-job carbon attribution.
+// A job is charged for the executors it counts in Executors — those
+// running its tasks and those it holds — so attribution walks the active
+// jobs, never the K executors.
 func (c *Cluster) advance(t float64) {
 	if t <= c.clock {
 		c.clock = math.Max(c.clock, t)
@@ -837,15 +844,12 @@ func (c *Cluster) advance(t float64) {
 			}
 			c.usage[idx] += float64(c.activeCount) * span
 			grams := tr.At(cur) * span / 3600
-			for _, e := range c.execs {
-				j := e.job
-				if !e.busy {
-					j = e.reserved
-				}
-				if j == nil {
+			for _, j := range c.active {
+				if j.Executors == 0 {
 					continue
 				}
-				j.CarbonGrams += grams
+				k := float64(j.Executors)
+				j.CarbonGrams += grams * k
 				if c.jobUsage != nil {
 					row := c.jobUsage[j.index]
 					if row == nil {
@@ -854,7 +858,7 @@ func (c *Cluster) advance(t float64) {
 					for len(row) <= idx {
 						row = append(row, 0)
 					}
-					row[idx] += span
+					row[idx] += span * k
 					c.jobUsage[j.index] = row
 				}
 			}
@@ -884,7 +888,11 @@ func (c *Cluster) schedule(s Scheduler) error {
 	if c.cfg.HoldExecutors && c.holdReadyCount > 0 {
 		c.dispatchReserved()
 	}
-	for c.IdleCount() > 0 && len(c.Runnable()) > 0 {
+	// Most events leave no job with a runnable stage, and runnableJobs
+	// says so without building the view. The exact check stays behind it
+	// for the per-job cap, which filters capped jobs out of the view; the
+	// view it builds is the one Pick reads.
+	for c.IdleCount() > 0 && c.runnableJobs > 0 && len(c.Runnable()) > 0 {
 		d := s.Pick(c)
 		if d.Defer {
 			return nil
@@ -919,7 +927,7 @@ func (c *Cluster) bindRule(d Decision) (limit, n int, ok bool) {
 	if !j.Arrived || j.Done || !st.Runnable() {
 		return limit, 0, false
 	}
-	n = min(len(c.free), limit-st.Running, st.RemainingTasks())
+	n = min(c.free.len(), limit-st.Running, st.RemainingTasks())
 	if d.MaxNew > 0 {
 		n = min(n, d.MaxNew)
 	}
@@ -930,7 +938,7 @@ func (c *Cluster) bindRule(d Decision) (limit, n int, ok bool) {
 }
 
 // assign applies the decision: it puts the stage's limit in force and
-// binds bindRule's count of idle executors to it, off the free list in
+// binds bindRule's count of idle executors to it, off the free pool in
 // ascending-ID order (matching the historical whole-cluster scan). It
 // returns the number bound.
 func (c *Cluster) assign(d Decision) int {
@@ -940,53 +948,40 @@ func (c *Cluster) assign(d Decision) int {
 	}
 	d.Ref.Stage.Limit = limit
 	for range n {
-		c.bind(c.execs[c.free.pop()], d.Ref.Job, d.Ref.Stage)
+		c.bind(c.execs[c.free.popMin()], d.Ref.Job, d.Ref.Stage)
 	}
 	return n
 }
 
 // dispatchReserved lets every job-held executor pull a task from its
 // job's runnable stages (in-application FIFO: lowest stage ID first).
-// Executors are drained from the reserved-idle heap in ascending-ID order
-// — the order of the historical cluster scan — and those whose job has
-// nothing runnable go back to waiting.
+// Executors are visited in ascending-ID order — the order of the
+// historical cluster scan — and those whose job has nothing runnable
+// stay waiting. The walk stops once no job can serve a held executor.
 func (c *Cluster) dispatchReserved() {
-	if len(c.reservedIdle) == 0 {
-		return
-	}
-	ids := c.reservedScratch[:0]
-	for len(c.reservedIdle) > 0 {
-		id := c.reservedIdle.pop()
-		e := c.execs[id]
-		e.inReservedIdle = false
-		if e.busy || e.reserved == nil {
-			continue // stale entry: released or re-bound since pushed
+	ri := &c.reservedIdle
+	for wi := ri.lo; wi < len(ri.words) && c.holdReadyCount > 0; wi++ {
+		for w := ri.words[wi]; w != 0; w &= w - 1 {
+			e := c.execs[wi<<6|bits.TrailingZeros64(w)]
+			j := e.reserved
+			if len(j.runnable) == 0 {
+				continue
+			}
+			// The stage's limit is left as it is. Until a scheduler puts
+			// one in force, completeTask returns the executor to the held
+			// pool after every task, with a fresh expiry event (DESIGN.md
+			// §2.1).
+			st := j.runnable[0]
+			c.releaseHeld(e)
+			e.busy = true
+			e.job = j
+			e.stage = st
+			c.busyCount++
+			st.Running++
+			c.noteDispatch(j, st)
+			c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
 		}
-		ids = append(ids, id)
 	}
-	for _, id := range ids {
-		e := c.execs[id]
-		j := e.reserved
-		if len(j.runnable) == 0 {
-			c.reservedIdle.push(id)
-			e.inReservedIdle = true
-			continue
-		}
-		// The stage's limit is left as it is. Until a scheduler puts one
-		// in force, completeTask returns the executor to the held pool
-		// after every task, with a fresh expiry event (DESIGN.md §2.1).
-		st := j.runnable[0]
-		c.releaseHeld(e)
-		e.reserved = nil
-		e.busy = true
-		e.job = j
-		e.stage = st
-		c.busyCount++
-		st.Running++
-		c.noteDispatch(j, st)
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
-	}
-	c.reservedScratch = ids[:0]
 }
 
 // bind starts a free-pool executor on the stage's next task.
@@ -1003,7 +998,7 @@ func (c *Cluster) bind(e *executor, j *JobRun, st *StageRun) {
 	j.Executors++
 	st.Running++
 	c.noteDispatch(j, st)
-	c.push(event{at: c.clock + delay + c.taskDuration(st), kind: evTaskDone, exec: e})
+	c.push(event{at: c.clock + delay + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
 }
 
 // taskDuration samples one task's duration with optional jitter.
@@ -1027,7 +1022,7 @@ func (c *Cluster) completeTask(e *executor) {
 	if c.cfg.FailureRate > 0 && c.rng.Float64() < c.cfg.FailureRate {
 		// The attempt is lost; the executor retries the task in place.
 		c.retries++
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
+		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
 		return
 	}
 	st.Completed++
@@ -1038,7 +1033,7 @@ func (c *Cluster) completeTask(e *executor) {
 	// Continue on the same stage when tasks remain and the limit holds.
 	if st.RemainingTasks() > 0 && st.Running <= st.Limit {
 		c.noteDispatch(j, st)
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
+		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
 		return
 	}
 	// Release the executor: back to the job's held pool in standalone
@@ -1055,7 +1050,7 @@ func (c *Cluster) completeTask(e *executor) {
 	}
 	j.Executors--
 	c.activeCount--
-	c.free.push(e.id)
+	c.free.add(e.id)
 }
 
 // holdExecutor parks a just-released executor in its job's held pool and
@@ -1065,31 +1060,32 @@ func (c *Cluster) holdExecutor(e *executor, j *JobRun) {
 	e.reserved = j
 	e.heldPos = len(j.held)
 	j.held = append(j.held, e)
-	c.updateHoldReady(j)
-	if !e.inReservedIdle {
-		c.reservedIdle.push(e.id)
-		e.inReservedIdle = true
-	}
+	c.reservedIdle.add(e.id)
+	c.updateReady(j)
 	if c.cfg.IdleTimeout >= 0 {
 		timeout := c.cfg.IdleTimeout
 		if timeout == 0 {
 			timeout = 60 // Spark's executorIdleTimeout default
 		}
 		e.holdExpire = c.clock + timeout
-		c.push(event{at: e.holdExpire, kind: evHoldExpire, exec: e})
+		c.push(event{at: e.holdExpire, kind: evHoldExpire, exec: int32(e.id)})
 	}
 }
 
-// releaseHeld unlinks the executor from its reserving job's held list.
+// releaseHeld ends the executor's reservation: it leaves its job's held
+// list and the reserved-idle set.
 func (c *Cluster) releaseHeld(e *executor) {
-	held := e.reserved.held
+	j := e.reserved
+	held := j.held
 	last := len(held) - 1
 	moved := held[last]
 	held[e.heldPos] = moved
 	moved.heldPos = e.heldPos
 	held[last] = nil
-	e.reserved.held = held[:last]
-	c.updateHoldReady(e.reserved)
+	j.held = held[:last]
+	e.reserved = nil
+	c.reservedIdle.remove(e.id)
+	c.updateReady(j)
 }
 
 // expireHold releases a still-reserved executor whose idle window lapsed.
@@ -1101,10 +1097,9 @@ func (c *Cluster) expireHold(e *executor) {
 	}
 	j := e.reserved
 	c.releaseHeld(e)
-	e.reserved = nil
 	j.Executors--
 	c.activeCount--
-	c.free.push(e.id)
+	c.free.add(e.id)
 	c.invalidate()
 }
 
@@ -1129,11 +1124,12 @@ func (c *Cluster) finishStage(j *JobRun, st *StageRun) {
 			e.lastJob = j.index
 			j.Executors--
 			c.activeCount--
-			c.free.push(e.id)
+			c.reservedIdle.remove(e.id)
+			c.free.add(e.id)
 		}
 		j.held = j.held[:0]
 		j.runnable = j.runnable[:0]
-		c.updateHoldReady(j)
+		c.updateReady(j)
 		for i, job := range c.active {
 			if job == j {
 				copy(c.active[i:], c.active[i+1:])

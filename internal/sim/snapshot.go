@@ -198,33 +198,33 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		clock: s.TimeSec,
 		epoch: 1,
 	}
+	// Field paths are formatted only on the way to an error: a valid
+	// snapshot builds none.
 	for i, js := range s.Jobs {
-		field := fmt.Sprintf("jobs[%d]", i)
 		if js.DAG == nil {
-			return nil, snapErr(field+".dag", "missing job DAG")
+			return nil, snapErr(fmt.Sprintf("jobs[%d].dag", i), "missing job DAG")
 		}
 		job := js.DAG.Clone()
 		if err := job.Validate(); err != nil {
-			return nil, snapErr(field+".dag", "%v", err)
+			return nil, snapErr(fmt.Sprintf("jobs[%d].dag", i), "%v", err)
 		}
 		if len(js.Stages) != len(job.Stages) {
-			return nil, snapErr(field+".stages", "%d stage entries for %d stages", len(js.Stages), len(job.Stages))
+			return nil, snapErr(fmt.Sprintf("jobs[%d].stages", i), "%d stage entries for %d stages", len(js.Stages), len(job.Stages))
 		}
 		run := &JobRun{Job: job, Stages: make([]*StageRun, len(job.Stages)), Arrived: true, index: i}
 		for si, st := range job.Stages {
 			ss := js.Stages[si]
-			sf := fmt.Sprintf("%s.stages[%d]", field, si)
 			if ss.Dispatched < 0 || ss.Dispatched > st.NumTasks {
-				return nil, snapErr(sf+".dispatched", "%d dispatched of %d tasks", ss.Dispatched, st.NumTasks)
+				return nil, snapErr(stageField(i, si, "dispatched"), "%d dispatched of %d tasks", ss.Dispatched, st.NumTasks)
 			}
 			if ss.Completed < 0 || ss.Running < 0 {
-				return nil, snapErr(sf+".completed", "negative progress (completed %d, running %d)", ss.Completed, ss.Running)
+				return nil, snapErr(stageField(i, si, "completed"), "negative progress (completed %d, running %d)", ss.Completed, ss.Running)
 			}
 			if ss.Completed+ss.Running != ss.Dispatched {
-				return nil, snapErr(sf+".running", "dispatched %d ≠ completed %d + running %d", ss.Dispatched, ss.Completed, ss.Running)
+				return nil, snapErr(stageField(i, si, "running"), "dispatched %d ≠ completed %d + running %d", ss.Dispatched, ss.Completed, ss.Running)
 			}
 			if ss.Limit < 0 || ss.Limit > st.NumTasks {
-				return nil, snapErr(sf+".limit", "limit %d outside [0, %d]", ss.Limit, st.NumTasks)
+				return nil, snapErr(stageField(i, si, "limit"), "limit %d outside [0, %d]", ss.Limit, st.NumTasks)
 			}
 			run.Stages[si] = &StageRun{
 				Stage: st, Dispatched: ss.Dispatched, Completed: ss.Completed,
@@ -241,8 +241,7 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 				}
 			}
 			if sr.ParentsLeft > 0 && sr.Dispatched > 0 {
-				return nil, snapErr(fmt.Sprintf("%s.stages[%d].dispatched", field, si),
-					"stage dispatched before its parents completed")
+				return nil, snapErr(stageField(i, si, "dispatched"), "stage dispatched before its parents completed")
 			}
 			if sr.Completed == st.NumTasks {
 				run.StagesDone++
@@ -258,21 +257,20 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 	}
 
 	c.execs = make([]*executor, s.NumExecutors)
-	c.free = make(intHeap, 0, s.NumExecutors)
+	c.free, c.reservedIdle = newIDSet(s.NumExecutors), newIDSet(s.NumExecutors)
 	// stageRunning cross-checks executor bindings against the per-stage
 	// Running counters; keyed by (job index, stage ID).
 	type jobStage struct{ job, stage int }
 	stageRunning := map[jobStage]int{}
 	for id, es := range s.Executors {
-		field := fmt.Sprintf("executors[%d]", id)
 		e := &executor{id: id}
 		c.execs[id] = e
 		switch es.State {
 		case ExecIdle:
-			c.free.push(id)
+			c.free.add(id)
 		case ExecBusy, ExecHeld:
 			if es.Job < 0 || es.Job >= len(c.active) {
-				return nil, snapErr(field+".job", "job index %d outside [0, %d)", es.Job, len(c.active))
+				return nil, snapErr(fmt.Sprintf("executors[%d].job", id), "job index %d outside [0, %d)", es.Job, len(c.active))
 			}
 			j := c.active[es.Job]
 			j.Executors++
@@ -281,12 +279,11 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 				e.reserved = j
 				e.heldPos = len(j.held)
 				j.held = append(j.held, e)
-				c.reservedIdle.push(id)
-				e.inReservedIdle = true
+				c.reservedIdle.add(id)
 				continue
 			}
 			if es.Stage < 0 || es.Stage >= len(j.Stages) {
-				return nil, snapErr(field+".stage", "stage ID %d outside [0, %d)", es.Stage, len(j.Stages))
+				return nil, snapErr(fmt.Sprintf("executors[%d].stage", id), "stage ID %d outside [0, %d)", es.Stage, len(j.Stages))
 			}
 			e.busy = true
 			e.job = j
@@ -294,19 +291,26 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 			c.busyCount++
 			stageRunning[jobStage{es.Job, es.Stage}]++
 		default:
-			return nil, snapErr(field+".state", "unknown executor state %q (have %s, %s, %s)",
+			return nil, snapErr(fmt.Sprintf("executors[%d].state", id), "unknown executor state %q (have %s, %s, %s)",
 				es.State, ExecIdle, ExecBusy, ExecHeld)
 		}
 	}
 	for ji, js := range s.Jobs {
 		for si := range js.Stages {
 			if got, want := stageRunning[jobStage{ji, si}], js.Stages[si].Running; got != want {
-				return nil, snapErr(fmt.Sprintf("jobs[%d].stages[%d].running", ji, si),
-					"%d running tasks but %d busy executors bound", want, got)
+				return nil, snapErr(stageField(ji, si, "running"), "%d running tasks but %d busy executors bound", want, got)
 			}
 		}
+		// The runnable-job and hold-ready counts, through the live
+		// engine's helper.
+		c.updateReady(c.active[ji])
 	}
 	return c, nil
+}
+
+// stageField is the JSON path of one field of a stage's snapshot.
+func stageField(job, stage int, leaf string) string {
+	return fmt.Sprintf("jobs[%d].stages[%d].%s", job, stage, leaf)
 }
 
 // Placement is the serializable form of one scheduling decision: what a
@@ -351,15 +355,4 @@ func (c *Cluster) Place(s Scheduler) Placement {
 		p.ExecutorIDs = c.free.peekN(n)
 	}
 	return p
-}
-
-// peekN returns the n smallest entries in ascending order without
-// mutating the heap; 0 < n <= len(h).
-func (h intHeap) peekN(n int) []int {
-	cp := append(intHeap(nil), h...)
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, cp.pop())
-	}
-	return out
 }

@@ -238,7 +238,7 @@ func (p *placeChecker) Pick(c *Cluster) Decision {
 	p.verify(c)
 	pl := c.Place(boundedPolicy{})
 	p.want = &pl
-	p.freeBefore = slices.Sorted(slices.Values(c.free))
+	p.freeBefore = c.free.peekN(c.free.len())
 	return boundedPolicy{}.Pick(c)
 }
 
@@ -248,7 +248,7 @@ func (p *placeChecker) verify(c *Cluster) {
 	}
 	var got []int
 	for _, id := range p.freeBefore {
-		if !slices.Contains(c.free, id) {
+		if !c.free.has(id) {
 			got = append(got, id)
 			if e := c.execs[id]; e.job.Job.ID != p.want.JobID || e.stage.Stage.ID != p.want.StageID {
 				p.t.Errorf("t=%v: executor %d bound to job %d stage %d, Place said job %d stage %d",

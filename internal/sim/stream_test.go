@@ -2,6 +2,8 @@ package sim
 
 import (
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,18 +39,71 @@ func TestEventHeapShrinksAfterBurst(t *testing.T) {
 	}
 }
 
-func TestIntHeapShrinksAfterBurst(t *testing.T) {
-	var h intHeap
-	const n = 8 * heapShrinkMin
-	for i := 0; i < n; i++ {
-		h.push(i)
-	}
-	grown := cap(h)
-	for len(h) > 16 {
-		h.pop()
-	}
-	if got := cap(h); got > heapShrinkMin {
-		t.Fatalf("int heap capacity %d after draining to 16 entries; want <= %d (grown to %d during the burst)", got, heapShrinkMin, grown)
+// has reports whether the set holds id.
+func (s *idSet) has(id int) bool { return s.words[id>>6]&(1<<(id&63)) != 0 }
+
+// TestIDSetMatchesSortedModel drives the executor bitmap through seeded
+// random adds, removes, pop-mins, peeks and clones, checking it against
+// a sorted slice after every step, at sizes on and around the 64-bit
+// word boundaries.
+func TestIDSetMatchesSortedModel(t *testing.T) {
+	for _, k := range []int{1, 63, 64, 65, 1000} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		s := newIDSet(k)
+		var model []int // sorted IDs in the set
+		check := func(op string) {
+			t.Helper()
+			if got := s.peekN(s.len()); s.len() != len(model) || !slices.Equal(got, model) {
+				t.Fatalf("K=%d after %s: set holds %v (len %d), model %v", k, op, got, s.len(), model)
+			}
+		}
+		for step := 0; step < 20*k+200; step++ {
+			switch op := rng.Intn(5); {
+			case op == 0 && len(model) < k: // add an absent ID
+				id := rng.Intn(k)
+				for slices.Contains(model, id) {
+					id = (id + 1) % k
+				}
+				s.add(id)
+				i, _ := slices.BinarySearch(model, id)
+				model = slices.Insert(model, i, id)
+				check("add")
+			case op == 1 && len(model) > 0: // remove a present ID
+				i := rng.Intn(len(model))
+				s.remove(model[i])
+				model = slices.Delete(model, i, i+1)
+				check("remove")
+			case op == 2 && len(model) > 0:
+				if got := s.popMin(); got != model[0] {
+					t.Fatalf("K=%d: popMin = %d, want %d", k, got, model[0])
+				}
+				model = model[1:]
+				check("popMin")
+			case op == 3:
+				n := rng.Intn(len(model) + 1)
+				if got := s.peekN(n); !slices.Equal(got, model[:n]) {
+					t.Fatalf("K=%d: peekN(%d) = %v, want %v", k, n, got, model[:n])
+				}
+				check("peekN")
+			case op == 4:
+				// A clone is independent: draining it leaves the set as it was.
+				cl := s.clone()
+				for i, want := range model {
+					if !cl.has(want) || cl.popMin() != want {
+						t.Fatalf("K=%d: clone lost ID %d (index %d)", k, want, i)
+					}
+				}
+				if cl.len() != 0 {
+					t.Fatalf("K=%d: drained clone has %d IDs left", k, cl.len())
+				}
+				check("clone")
+			}
+		}
+		for id := range k {
+			if s.has(id) != slices.Contains(model, id) {
+				t.Fatalf("K=%d: has(%d) = %v", k, id, s.has(id))
+			}
+		}
 	}
 }
 
@@ -151,7 +206,7 @@ func TestRunStreamValidation(t *testing.T) {
 }
 
 // TestRunStreamHoldMode covers the executor-retention path (held lists,
-// reserved-idle heap, expiry events) against the classic engine, since
+// reserved-idle set, expiry events) against the classic engine, since
 // recycled runs reuse their held-list backing arrays.
 func TestRunStreamHoldMode(t *testing.T) {
 	jobs := make([]*dag.Job, 25)
