@@ -498,7 +498,10 @@ func BenchmarkSweepPrefixReuse(b *testing.B) {
 // service's equivalence tests use.
 func placementSnapshot(b *testing.B) *sim.Snapshot {
 	b.Helper()
-	jobs := workload.Batch(workload.BatchConfig{N: 10, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: 42})
+	jobs, err := workload.Generate(workload.GenConfig{N: 10, Arrivals: arrivals.Poisson{MeanSec: 25}, Mix: workload.MixBoth, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr := carbon.SynthesizeAll(48, 60, 42)["CAISO"]
 	var snap *sim.Snapshot
 	events := 0

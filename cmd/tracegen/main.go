@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -77,8 +78,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("tracegen: %v", err)
 		}
-		cfg := workload.BatchConfig{N: *n, MeanInterarrival: *inter, Mix: mix, Seed: *seed}
-		if err := writeWorkload(os.Stdout, cfg, *header); err != nil {
+		b := batchFlags{n: *n, interarrival: *inter, mix: mix, seed: *seed}
+		if err := writeWorkload(os.Stdout, b, *header); err != nil {
 			log.Fatalf("tracegen: %v", err)
 		}
 	default:
@@ -108,10 +109,30 @@ func traceProvenance(grid string, hours int, seed int64, on bool) string {
 	return fmt.Sprintf("# generated=tracegen grid=%s hours=%d seed=%d", grid, hours, seed)
 }
 
+// batchFlags are the -workload mode's generator parameters: n jobs of
+// one mix with Poisson arrivals at the given mean gap in seconds.
+type batchFlags struct {
+	n            int
+	interarrival float64
+	mix          workload.Mix
+	seed         int64
+}
+
+// check rejects values the generator cannot honor, naming the flag.
+func (b batchFlags) check() error {
+	if b.n < 0 {
+		return fmt.Errorf("-n %d: the job count must not be negative", b.n)
+	}
+	if !(b.interarrival > 0) || math.IsInf(b.interarrival, 1) {
+		return fmt.Errorf("-interarrival %v: the mean gap must be a positive, finite number of seconds", b.interarrival)
+	}
+	return nil
+}
+
 // workloadProvenance builds the provenance comment for a workload CSV.
-func workloadProvenance(cfg workload.BatchConfig) string {
+func workloadProvenance(b batchFlags) string {
 	return fmt.Sprintf("# generated=tracegen seed=%d mix=%s n=%d interarrival=%g",
-		cfg.Seed, cfg.Mix, cfg.N, cfg.MeanInterarrival)
+		b.seed, b.mix, b.n, b.interarrival)
 }
 
 // writeTrace serializes one trace, optionally preceded by a provenance
@@ -126,13 +147,23 @@ func writeTrace(w io.Writer, tr *carbon.Trace, provenance string) error {
 	return tr.WriteCSV(w)
 }
 
-// writeWorkload generates the batch and serializes its summary rows.
-func writeWorkload(w io.Writer, cfg workload.BatchConfig, header bool) error {
+// writeWorkload checks the flags, generates the batch and serializes
+// its summary rows.
+func writeWorkload(w io.Writer, b batchFlags, header bool) error {
+	if err := b.check(); err != nil {
+		return err
+	}
+	jobs, err := workload.Generate(workload.GenConfig{
+		N: b.n, Arrivals: arrivals.Poisson{MeanSec: b.interarrival}, Mix: b.mix, Seed: b.seed,
+	})
+	if err != nil {
+		return err
+	}
 	prov := ""
 	if header {
-		prov = workloadProvenance(cfg)
+		prov = workloadProvenance(b)
 	}
-	return writeJobs(w, workload.Batch(cfg), prov)
+	return writeJobs(w, jobs, prov)
 }
 
 // writeJobs serializes a job batch, optionally preceded by a provenance
@@ -263,9 +294,9 @@ func emitScenario(path, dir string, header bool) error {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d samples)\n", file, len(c.Trace.Values))
 	}
 	// The resolved batch is written directly: arrivals-driven and
-	// heterogeneous batches cannot be rebuilt from a BatchConfig, and the
-	// provenance comment records the arrival process and class set
-	// instead of a single interarrival mean.
+	// heterogeneous batches cannot be rebuilt from the -workload flags,
+	// and the provenance comment records the arrival process and class
+	// set instead of a single interarrival mean.
 	prov := ""
 	if header {
 		prov = fmt.Sprintf("# generated=tracegen scenario=%s seed=%d %s n=%d %s",

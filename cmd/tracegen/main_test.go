@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
 	"os"
 	"reflect"
 	"strconv"
@@ -45,7 +46,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // needed to regenerate the batch — parse it back, rebuild, and the
 // rows must be equal.
 func TestWorkloadRoundTrip(t *testing.T) {
-	cfg := workload.BatchConfig{N: 20, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: 99}
+	cfg := batchFlags{n: 20, interarrival: 25, mix: workload.MixBoth, seed: 99}
 	var buf bytes.Buffer
 	if err := writeWorkload(&buf, cfg, true); err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regen := workload.BatchConfig{N: n, MeanInterarrival: inter, Mix: mix, Seed: seed}
+	regen := batchFlags{n: n, interarrival: inter, mix: mix, seed: seed}
 	if regen != cfg {
 		t.Fatalf("recovered config %+v != %+v", regen, cfg)
 	}
@@ -90,10 +91,16 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != cfg.N+1 { // header + jobs
-		t.Fatalf("%d rows for %d jobs", len(rows), cfg.N)
+	if len(rows) != cfg.n+1 { // header + jobs
+		t.Fatalf("%d rows for %d jobs", len(rows), cfg.n)
 	}
-	for i, j := range workload.Batch(regen) {
+	jobs, err := workload.Generate(workload.GenConfig{
+		N: regen.n, Arrivals: arrivals.Poisson{MeanSec: regen.interarrival}, Mix: regen.mix, Seed: regen.seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
 		if got := rows[i+1]; !reflect.DeepEqual(got, workloadRecord(j)) {
 			t.Fatalf("row %d: %v != %v", i, got, workloadRecord(j))
 		}
@@ -104,11 +111,36 @@ func TestWorkloadRoundTrip(t *testing.T) {
 // existing consumers of the bare CSV shape see no change.
 func TestWorkloadNoHeaderByDefault(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeWorkload(&buf, workload.BatchConfig{N: 2, Mix: workload.MixTPCH, Seed: 1}, false); err != nil {
+	if err := writeWorkload(&buf, batchFlags{n: 2, interarrival: 30, mix: workload.MixTPCH, seed: 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "job,name,class,arrival_sec") {
 		t.Fatalf("unexpected leading bytes: %q", buf.String()[:40])
+	}
+}
+
+// TestWorkloadRejectsBadFlags: a negative -n or a non-positive or
+// non-finite -interarrival fails before any generation, with an error
+// naming the flag and nothing written.
+func TestWorkloadRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		b    batchFlags
+		flag string
+	}{
+		{batchFlags{n: -2, interarrival: 30}, "-n "},
+		{batchFlags{n: 5, interarrival: 0}, "-interarrival "},
+		{batchFlags{n: 5, interarrival: -5}, "-interarrival "},
+		{batchFlags{n: 5, interarrival: math.NaN()}, "-interarrival "},
+		{batchFlags{n: 5, interarrival: math.Inf(1)}, "-interarrival "},
+	} {
+		var buf bytes.Buffer
+		err := writeWorkload(&buf, tc.b, true)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("%+v: error %v, want one naming %q", tc.b, err, tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%+v: wrote %d bytes before failing", tc.b, buf.Len())
+		}
 	}
 }
 

@@ -70,7 +70,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	jobs := workload.Batch(workload.BatchConfig{N: 25, MeanInterarrival: 30, Mix: workload.MixBoth, Seed: 3})
+	jobs, err := workload.Generate(workload.GenConfig{N: 25, Mix: workload.MixBoth, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := cluster.PaperConfig()
 	def, err := cluster.Run(cfg, window, jobs, sched.NewKubeDefault())
 	if err != nil {

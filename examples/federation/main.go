@@ -61,7 +61,10 @@ func main() {
 		}
 	}
 
-	jobs := workload.Batch(workload.BatchConfig{N: 30, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 7})
+	jobs, err := workload.Generate(workload.GenConfig{N: 30, Mix: workload.MixTPCH, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 	signals := &federation.ClientSignals{Client: client}
 	routers := []federation.Router{
 		federation.NewRoundRobin(),

@@ -18,7 +18,10 @@ import (
 
 func main() {
 	traces := carbon.SynthesizeAll(3000, 60, 42)
-	jobs := workload.Batch(workload.BatchConfig{N: 30, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 5})
+	jobs, err := workload.Generate(workload.GenConfig{N: 30, Mix: workload.MixTPCH, Seed: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-6s %10s %14s %14s %12s %12s\n",
 		"grid", "coeff.var", "PCAPS ΔCO2", "CAP ΔCO2", "PCAPS ECT", "CAP ECT")

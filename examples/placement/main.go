@@ -26,6 +26,7 @@ import (
 	"os"
 	"reflect"
 
+	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
 	"pcaps/internal/placement"
@@ -39,7 +40,10 @@ const seed = 42
 // snapshotMidRun simulates a small batch and exports the cluster at a
 // contended moment: several active jobs, busy and idle executors.
 func snapshotMidRun() *sim.Snapshot {
-	jobs := workload.Batch(workload.BatchConfig{N: 10, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: seed})
+	jobs, err := workload.Generate(workload.GenConfig{N: 10, Arrivals: arrivals.Poisson{MeanSec: 25}, Mix: workload.MixBoth, Seed: seed})
+	if err != nil {
+		log.Fatal(err)
+	}
 	tr := carbon.SynthesizeAll(48, 60, seed)["CAISO"]
 	var snap *sim.Snapshot
 	events := 0

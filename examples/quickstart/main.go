@@ -36,7 +36,10 @@ func main() {
 	fmt.Printf("hand-built job: %d stages, %.0f s of work, %.0f s critical path\n\n",
 		len(custom.Stages), custom.TotalWork(), custom.CriticalPathLength())
 
-	jobs := workload.Batch(workload.BatchConfig{N: 20, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 7})
+	jobs, err := workload.Generate(workload.GenConfig{N: 20, Mix: workload.MixTPCH, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 3. A cluster: 50 executors, Spark-style executor retention.
 	cfg := sim.Config{

@@ -22,7 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := carbon.Synthesize(spec, 3000, 60, 42)
-	jobs := workload.Batch(workload.BatchConfig{N: 50, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 23})
+	jobs, err := workload.Generate(workload.GenConfig{N: 50, Mix: workload.MixTPCH, Seed: 23})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := sim.Config{
 		NumExecutors: 100, Trace: tr, MoveDelay: 1,
 		HoldExecutors: true, IdleTimeout: 60, Seed: 1,

@@ -19,7 +19,10 @@ func setup(t testing.TB) (sim.Config, []*dag.Job) {
 		t.Fatal(err)
 	}
 	tr := carbon.Synthesize(spec, 3000, 60, 17)
-	jobs := workload.Batch(workload.BatchConfig{N: 40, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 23})
+	jobs, err := workload.Generate(workload.GenConfig{N: 40, Mix: workload.MixTPCH, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 1,
 		HoldExecutors: true, IdleTimeout: 60, Seed: 1}
 	return cfg, jobs

@@ -2,8 +2,8 @@
 // dimension: deterministic, seed-driven open-loop arrival processes
 // that the workload generator consumes one interarrival gap at a time.
 //
-// Six kinds are provided: the paper's batch-Poisson process (extracted
-// from workload.Batch, byte-identical draw order), constant-RPS,
+// Six kinds are provided: the paper's batch-Poisson process (the
+// historical batch draw order, byte-identical), constant-RPS,
 // a linear RPS ramp, periodic bursts over a base rate, a diurnal
 // sinusoid, and replay of an explicit schedule (the CSV format tracegen
 // emits and ReadCSV decodes). The time-varying kinds are
@@ -222,8 +222,8 @@ func (s Spec) Validate() error {
 // Implementations are stateless and safe for concurrent use: a gap is a
 // pure function of (i, now, r), with every stochastic draw coming from
 // the caller's seeded RNG — the workload generator's batch stream, so
-// the Poisson kind reproduces the historical workload.Batch draw
-// interleaving byte-for-byte.
+// the Poisson kind reproduces the historical batch draw interleaving
+// byte-for-byte.
 type Process interface {
 	// Kind returns the process's Spec kind.
 	Kind() string
@@ -286,10 +286,9 @@ func New(s Spec) (Process, error) {
 const DefaultPoissonMeanSec = 30
 
 // Poisson is the paper's batch arrival shape: exponential gaps with the
-// given mean. It is the exact generator workload.Batch always used —
-// one r.ExpFloat64 draw after each job — extracted behind the Process
-// interface, so batches built through it are byte-identical to the
-// historical ones.
+// given mean: one r.ExpFloat64 draw after each job, the exact draw the
+// paper's batches have always made, so batches built through it are
+// byte-identical to the historical ones.
 type Poisson struct {
 	// MeanSec is the mean interarrival gap in seconds.
 	MeanSec float64

@@ -27,7 +27,7 @@ func drawTimes(t *testing.T, p Process, n int, seedVal int64) []float64 {
 
 func TestPoissonMatchesLegacyDraw(t *testing.T) {
 	// The Poisson kind must consume exactly one ExpFloat64 per gap —
-	// the draw workload.Batch always made.
+	// the draw the paper's batches always made.
 	p := Poisson{MeanSec: 30}
 	r1 := rand.New(rand.NewSource(7))
 	r2 := rand.New(rand.NewSource(7))

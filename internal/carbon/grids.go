@@ -157,13 +157,25 @@ func rescale(vals []float64, spec GridSpec) {
 	}
 }
 
-// SynthesizeAll generates one trace per paper grid with hours samples.
-// Seeds are derived from the base seed so grids are mutually independent
-// but individually reproducible.
+// SynthSeed derives one grid's synthesis seed from a run seed: the run
+// seed offset by 1,000,003 × the grid's index in Table 1, so the grids
+// of one run are mutually independent but individually reproducible. A
+// name outside Table 1 keeps the run seed.
+func SynthSeed(runSeed int64, grid string) int64 {
+	for i, spec := range Grids() {
+		if spec.Name == grid {
+			return runSeed + int64(i)*1000003
+		}
+	}
+	return runSeed
+}
+
+// SynthesizeAll generates one trace per paper grid with hours samples,
+// each from its grid's SynthSeed.
 func SynthesizeAll(hours int, interval float64, seed int64) map[string]*Trace {
 	out := make(map[string]*Trace, 6)
-	for i, spec := range Grids() {
-		out[spec.Name] = Synthesize(spec, hours, interval, seed+int64(i)*1000003)
+	for _, spec := range Grids() {
+		out[spec.Name] = Synthesize(spec, hours, interval, SynthSeed(seed, spec.Name))
 	}
 	return out
 }

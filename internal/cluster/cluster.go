@@ -42,7 +42,7 @@ type Config struct {
 	// IdleTimeout is Spark dynamic allocation's executorIdleTimeout in
 	// seconds (60 by default): how long an idle executor pod lingers.
 	IdleTimeout float64
-	// Seed drives task jitter.
+	// Seed is the engine seed, passed through as sim.Config.Seed.
 	Seed int64
 }
 

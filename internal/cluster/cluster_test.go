@@ -34,7 +34,10 @@ func TestPaperConfig(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	jobs := workload.Batch(workload.BatchConfig{N: 2, Seed: 1})
+	jobs, err := workload.Generate(workload.GenConfig{N: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Run(Config{}, deTrace(t), jobs, &sched.FIFO{}); err == nil {
 		t.Fatal("zero-worker config accepted")
 	}
@@ -45,7 +48,10 @@ func TestPrototypeTable2Shape(t *testing.T) {
 	// carbon (both are pod-bound); CAP and PCAPS reduce carbon by >10%
 	// with bounded ECT increases.
 	tr := deTrace(t)
-	jobs := workload.Batch(workload.BatchConfig{N: 30, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 5})
+	jobs, err := workload.Generate(workload.GenConfig{N: 30, Mix: workload.MixTPCH, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := PaperConfig()
 
 	def, err := Run(cfg, tr, jobs, sched.NewKubeDefault())
@@ -197,7 +203,10 @@ func TestFig15FidelityContrast(t *testing.T) {
 	// improves on standalone FIFO in both carbon and average JCT for an
 	// identical batch.
 	tr := deTrace(t)
-	jobs := workload.Batch(workload.BatchConfig{N: 50, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 11})
+	jobs, err := workload.Generate(workload.GenConfig{N: 50, Mix: workload.MixTPCH, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	standalone := PaperConfig()
 	standalone.PerJobCap = 0 // standalone FIFO over-assigns freely

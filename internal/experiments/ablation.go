@@ -3,6 +3,7 @@ package experiments
 import (
 	"pcaps/internal/ablation"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -28,8 +29,8 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	}
 	seed := e.opt.Seed
 	jobs := batch(n, 30, workload.MixTPCH, seed)
-	tr := e.trialTrace("DE", 60+n, cellSeed(e.opt.Seed, "DE", int64(n)))
-	cfg := simConfig(tr, seed)
+	tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed(e.opt.Seed, "DE", int64(n)))
+	cfg := scenario.PaperSimConfig(false, tr, seed)
 	gamma := 0.6
 	mk := func() sched.Probabilistic { return sched.NewDecima(seed) }
 	variants := []sim.Scheduler{

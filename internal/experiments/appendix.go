@@ -8,6 +8,7 @@ import (
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -71,12 +72,11 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		njobs, inter := build(c.setting, seed)
 		jobs := batch(njobs, inter, mix, seed)
 		window := 60 + njobs*int(inter+29)/30/1 // rough sizing; Slice clamps
-		tr := e.trialTrace("DE", window, seed)
-		cfg := simConfig(tr, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], window, seed)
+		cfg := scenario.PaperSimConfig(proto, tr, seed)
 		baseSched := sim.Scheduler(&sched.FIFO{})
 		capInner := func() sim.Scheduler { return &sched.FIFO{} }
 		if proto {
-			cfg = protoConfig(tr, seed)
 			baseSched = sched.NewKubeDefault()
 			capInner = func() sim.Scheduler { return sched.NewKubeDefault() }
 		}
@@ -204,7 +204,7 @@ func fig20(opt Options) (*result.Artifact, error) {
 	for _, qn := range queueSizes {
 		seed := e.opt.Seed
 		jobs := batch(qn, 0.001, workload.MixTPCH, seed) // all queued at once
-		lat := measurePickLatency(simConfig(tr, seed), jobs, reps, map[string]func() sim.Scheduler{
+		lat := measurePickLatency(scenario.PaperSimConfig(false, tr, seed), jobs, reps, map[string]func() sim.Scheduler{
 			"FIFO":     func() sim.Scheduler { return &sched.FIFO{} },
 			"CAP-FIFO": func() sim.Scheduler { return sched.NewCAP(&sched.FIFO{}, 20) },
 			"Decima":   func() sim.Scheduler { return sched.NewDecima(seed) },

@@ -8,13 +8,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
-	"pcaps/internal/cluster"
 	"pcaps/internal/dag"
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
@@ -299,63 +298,33 @@ type env struct {
 	traces map[string]*carbon.Trace
 }
 
+// newEnv resolves the options' defaults and each selected grid's full
+// trace, read through the scenario layer's synthesis cache so a runner
+// and a compiled scenario at the same seed share one trace.
 func newEnv(opt Options) *env {
 	opt = opt.withDefaults()
 	e := &env{opt: opt, traces: map[string]*carbon.Trace{}}
-	for i, spec := range carbon.Grids() {
+	for _, spec := range carbon.Grids() {
 		for _, want := range opt.Grids {
 			if spec.Name == want {
-				e.traces[spec.Name] = cachedTrace(spec, opt.Hours, opt.Seed+int64(i)*1000003)
+				e.traces[spec.Name] = scenario.SynthTrace(spec, opt.Hours, carbon.SynthSeed(opt.Seed, spec.Name))
 			}
 		}
 	}
 	return e
 }
 
-// trialTrace returns the trace window for one randomized trial: a
-// uniformly random start offset into the grid's three-year history, as
-// the prototype experiments do (§6.1). The offset is drawn from a
-// dedicated RNG seeded by the cell's identity, so the window depends only
-// on the cell — not on how many draws other cells made first — and
-// serial and parallel sweeps see identical windows. The cell seed is
-// domain-separated first because callers feed the same value to
-// workload.Batch; without separation the offset would be the first draw
-// of the very stream the job batch consumes.
-func (e *env) trialTrace(grid string, windowHours int, seed int64) *carbon.Trace {
-	tr := e.traces[grid]
-	maxStart := len(tr.Values) - windowHours
-	if maxStart < 1 {
-		return tr
-	}
-	rng := rand.New(rand.NewSource(cellSeed(seed, "trace-offset")))
-	off := float64(rng.Intn(maxStart)) * tr.Interval
-	return tr.Slice(off, float64(windowHours)*tr.Interval)
-}
-
-// simConfig is the Spark-standalone simulator environment (§5.2): all
-// executors shared, applications retain executors per Spark's dynamic
-// allocation semantics.
-func simConfig(tr *carbon.Trace, seed int64) sim.Config {
-	return sim.Config{
-		NumExecutors:  100,
-		Trace:         tr,
-		MoveDelay:     1,
-		HoldExecutors: true,
-		IdleTimeout:   60,
-		Seed:          seed,
-	}
-}
-
-// protoConfig is the Kubernetes prototype environment (§6.3).
-func protoConfig(tr *carbon.Trace, seed int64) sim.Config {
-	cfg := cluster.PaperConfig()
-	cfg.Seed = seed
-	return cfg.SimConfig(tr)
-}
-
-// batch draws a workload batch.
+// batch draws a workload batch with Poisson arrivals at the given mean,
+// panicking on configuration errors like mustRun (the experiment matrix
+// is fixed at compile time, so failures are bugs).
 func batch(n int, interarrival float64, mix workload.Mix, seed int64) []*dag.Job {
-	return workload.Batch(workload.BatchConfig{N: n, MeanInterarrival: interarrival, Mix: mix, Seed: seed})
+	jobs, err := workload.Generate(workload.GenConfig{
+		N: n, Arrivals: arrivals.Poisson{MeanSec: interarrival}, Mix: mix, Seed: seed,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return jobs
 }
 
 // mustRun runs one simulation, panicking on configuration errors (the

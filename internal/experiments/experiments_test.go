@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pcaps/internal/carbon"
+	"pcaps/internal/scenario"
 )
 
 func fastOpt() Options { return Options{Fast: true, Seed: 42} }
@@ -110,32 +113,17 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestTrialTraceWindows(t *testing.T) {
+// TestNewEnvSharesScenarioTraces: the hand-written runners and compiled
+// scenarios read one synthesis cache, so at one (grid, hours, seed) both
+// paths return the same trace rather than two equal copies.
+func TestNewEnvSharesScenarioTraces(t *testing.T) {
 	e := newEnv(Options{Fast: true, Seed: 3})
-	tr := e.trialTrace("DE", 100, cellSeed(3, "DE", 0))
-	if len(tr.Values) != 100 {
-		t.Fatalf("window = %d samples", len(tr.Values))
+	tr, err := scenario.Sources{}.Trace(scenario.ClusterSpec{Grid: "DE"}, e.opt.Hours, carbon.SynthSeed(3, "DE"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Different cells land at different offsets (with high probability).
-	a := e.trialTrace("DE", 100, cellSeed(3, "DE", 1))
-	b := e.trialTrace("DE", 100, cellSeed(3, "DE", 2))
-	same := true
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("trial windows identical across cells")
-	}
-	// The same cell always sees the same window, no matter how many other
-	// draws happened in between — the property parallel execution needs.
-	c := e.trialTrace("DE", 100, cellSeed(3, "DE", 1))
-	for i := range a.Values {
-		if a.Values[i] != c.Values[i] {
-			t.Fatal("same cell produced different windows")
-		}
+	if tr != e.traces["DE"] {
+		t.Fatal("newEnv and the scenario synth path returned different traces")
 	}
 }
 

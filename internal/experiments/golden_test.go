@@ -8,7 +8,7 @@ import (
 )
 
 // updateGolden rewrites the recorded artifact text instead of comparing
-// against it: go test ./internal/experiments -run TestGoldenFastText -update
+// against it: go test ./internal/experiments -run 'TestGolden' -update
 var updateGolden = flag.Bool("update", false, "rewrite golden artifact files")
 
 // TestGoldenFastText pins the text rendering of every artifact's fast run
@@ -23,32 +23,53 @@ func TestGoldenFastText(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(id, Options{Fast: true, Seed: 42})
-			if err != nil {
-				t.Fatalf("Run(%s): %v", id, err)
-			}
-			got := rep.Render()
-			path := filepath.Join("testdata", "golden", id+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			wantBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			want := string(wantBytes)
-			if id == "fig20" {
-				got, want = maskTimings(got), maskTimings(want)
-			}
-			if got != want {
-				t.Fatalf("rendered text diverged from recorded output:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-			}
+			checkGolden(t, id, Options{Fast: true, Seed: 42}, filepath.Join("testdata", "golden", id+".txt"))
 		})
+	}
+}
+
+// TestGoldenFullText pins two full-scale artifacts, which the fast
+// goldens cannot reach: table1 reads all six three-year traces, so it
+// pins each grid's synthesis seed, and table2 runs the prototype
+// environment over every (grid, batch size, trial) window of the paper
+// matrix.
+func TestGoldenFullText(t *testing.T) {
+	for _, id := range []string{"table1", "table2"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, id, Options{Seed: 42}, filepath.Join("testdata", "golden", "full", id+".txt"))
+		})
+	}
+}
+
+// checkGolden runs one artifact and compares its text rendering with the
+// file at path, or rewrites the file under -update.
+func checkGolden(t *testing.T, id string, opt Options, path string) {
+	t.Helper()
+	rep, err := Run(id, opt)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", id, err)
+	}
+	got := rep.Render()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	want := string(wantBytes)
+	if id == "fig20" {
+		got, want = maskTimings(got), maskTimings(want)
+	}
+	if got != want {
+		t.Fatalf("rendered text diverged from recorded output:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

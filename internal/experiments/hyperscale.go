@@ -5,6 +5,7 @@ import (
 
 	"pcaps/internal/arrivals"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -98,7 +99,7 @@ func runHyperscale(opt Options) (*result.Artifact, error) {
 		// Window the trace to the expected span; past its end the
 		// intensity holds at the final sample (carbon.Trace.At clamps).
 		windowHours := int(float64(cell.jobs)/rps/60) + 200
-		tr := e.trialTrace("DE", windowHours, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], windowHours, seed)
 		cfg := sim.Config{
 			NumExecutors: cell.execs,
 			Trace:        tr,

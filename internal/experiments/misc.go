@@ -7,6 +7,7 @@ import (
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -105,7 +106,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 	tr := e.traces["DE"].Slice(0, 200*60)
 	seed := e.opt.Seed
 	jobs := batch(20, 30, workload.MixTPCH, seed)
-	cfg := simConfig(tr, seed)
+	cfg := scenario.PaperSimConfig(false, tr, seed)
 	cfg.NumExecutors = 5
 	cfg.TrackJobUsage = true
 	const hours = 40 // the experiment's visible window (paper shows 15)
@@ -186,8 +187,8 @@ func fig9(opt Options) (*result.Artifact, error) {
 		c := cells[i]
 		seed := cellSeed(e.opt.Seed, c.grid, int64(c.trial))
 		jobs := batch(n, 30, workload.MixBoth, seed)
-		tr := e.trialTrace(c.grid, 60+n, seed)
-		cfg := protoConfig(tr, seed)
+		tr := scenario.TrialWindow(e.traces[c.grid], 60+n, seed)
+		cfg := scenario.PaperSimConfig(true, tr, seed)
 		// The baseline and CAP share a decision prefix (identical while
 		// the quota stays at K); PCAPS runs alone — its Decima base isn't
 		// in this cell.
@@ -303,9 +304,9 @@ func fig15(opt Options) (*result.Artifact, error) {
 	pair := make([]*sim.Result, 2)
 	forEach(e.opt.pool, 2, func(i int) {
 		if i == 0 {
-			pair[0] = mustRun(simConfig(tr, seed), jobs, &sched.FIFO{})
+			pair[0] = mustRun(scenario.PaperSimConfig(false, tr, seed), jobs, &sched.FIFO{})
 		} else {
-			pair[1] = mustRun(protoConfig(tr, seed), jobs, sched.NewKubeDefault())
+			pair[1] = mustRun(scenario.PaperSimConfig(true, tr, seed), jobs, sched.NewKubeDefault())
 		}
 	})
 	fifo, proto := pair[0], pair[1]

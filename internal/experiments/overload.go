@@ -6,6 +6,7 @@ import (
 	"pcaps/internal/arrivals"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -117,8 +118,8 @@ func runOverload(opt Options) (*result.Artifact, error) {
 			arr[k] = j.Arrival
 			cps[k] = j.CriticalPathLength()
 		}
-		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := simConfig(tr, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed)
+		cfg := scenario.PaperSimConfig(false, tr, seed)
 		group := mustRunGroup(cfg, jobs, newScheds(seed)...)
 		out := cellOut{
 			open:   make([]metrics.OpenLoop, len(group)),

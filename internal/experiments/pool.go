@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
-	"pcaps/internal/carbon"
 	"pcaps/internal/scenario"
 	"pcaps/internal/seed"
 )
@@ -54,33 +51,4 @@ func forEach(p *pool, n int, fn func(i int)) {
 // cells made, so serial and parallel execution produce identical results.
 func cellSeed(base int64, grid string, coords ...int64) int64 {
 	return seed.Derive(base, grid, coords...)
-}
-
-// traceKey identifies one synthesized trace.
-type traceKey struct {
-	grid  string
-	hours int
-	seed  int64
-}
-
-// traceEntry carries the once-guard so concurrent first misses on the
-// same key synthesize exactly one trace between them.
-type traceEntry struct {
-	once sync.Once
-	tr   *carbon.Trace
-}
-
-// traceCache shares synthesized traces across runners and workers.
-// Traces are read-only after construction (every accessor is a pure
-// lookup and Slice returns views), so concurrent reuse is safe;
-// re-synthesizing the three paper years per runner dominated `-exp all`
-// startup before the cache.
-var traceCache sync.Map // traceKey → *traceEntry
-
-func cachedTrace(spec carbon.GridSpec, hours int, seed int64) *carbon.Trace {
-	key := traceKey{grid: spec.Name, hours: hours, seed: seed}
-	v, _ := traceCache.LoadOrStore(key, &traceEntry{})
-	e := v.(*traceEntry)
-	e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, seed) })
-	return e.tr
 }

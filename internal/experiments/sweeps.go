@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
@@ -84,15 +83,6 @@ func fig12(opt Options) (*result.Artifact, error) {
 		"paper: CAP-FIFO sacrifices more ECT than PCAPS for the same savings; the increase begins at milder settings\n"))
 }
 
-// trialState is one trial's stage-1 output in fig13's two-stage
-// frontier: the shared batch and configuration plus the baseline run
-// every stage-2 parameter point normalizes against.
-type trialState struct {
-	jobs []*dag.Job
-	cfg  sim.Config
-	base *sim.Result
-}
-
 // frontierSeries renders one method's trade-off cloud: x = relative ECT,
 // y = carbon reduction %.
 func frontierSeries(name, display string, pts []metrics.Point) *result.Series {
@@ -132,15 +122,16 @@ func fig13(opt Options) (*result.Artifact, error) {
 	// as a common-prefix group over the trial's shared (cfg, jobs, seed)
 	// — neighboring parameter values share almost every decision, so the
 	// shared prefix simulates once (sim.RunGroup). Folded back in
-	// trial-major order, exactly the historical sample order.
-	states := make([]trialState, trials)
+	// trial-major order, exactly the historical sample order, with each
+	// point normalized against its trial's baseline, bases[t].
+	bases := make([]*sim.Result, trials)
 	perTrial := len(gammas) + len(bs)
 	runs := make([]*sim.Result, trials*perTrial)
 	forEach(opt.pool, trials, func(t int) {
 		seed := cellSeed(opt.Seed, "DE", int64(t))
 		jobs := batch(n, 30, workload.MixTPCH, seed)
-		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := simConfig(tr, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed)
+		cfg := scenario.PaperSimConfig(false, tr, seed)
 		scheds := make([]sim.Scheduler, 0, perTrial+1)
 		scheds = append(scheds, sched.NewDecima(seed))
 		for _, g := range gammas {
@@ -150,12 +141,12 @@ func fig13(opt Options) (*result.Artifact, error) {
 			scheds = append(scheds, sched.NewCAP(sched.NewDecima(seed), b))
 		}
 		group := mustRunGroup(cfg, jobs, scheds...)
-		states[t] = trialState{jobs: jobs, cfg: cfg, base: group[0]}
+		bases[t] = group[0]
 		copy(runs[t*perTrial:(t+1)*perTrial], group[1:])
 	})
 	var pcapsPts, capPts []metrics.Point // X = relative ECT, Y = carbon reduction %
 	for t := 0; t < trials; t++ {
-		base := states[t].base
+		base := bases[t]
 		point := func(r *sim.Result) metrics.Point {
 			return metrics.Point{X: r.ECT / base.ECT, Y: -metrics.PercentChange(r.CarbonGrams, base.CarbonGrams)}
 		}

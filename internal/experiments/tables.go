@@ -3,6 +3,7 @@ package experiments
 import (
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -174,13 +175,14 @@ func table2(opt Options) (*result.Artifact, error) {
 	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
-		tr := e.trialTrace(c.grid, window, seed)
+		tr := scenario.TrialWindow(e.traces[c.grid], window, seed)
+		cfg := scenario.PaperSimConfig(true, tr, seed)
 		// Grouped by shared decision prefix: CAP over the default FIFO is
 		// exactly the default while the quota stays at K, and PCAPS shares
 		// Decima's sampling stream until its first filtered decision.
-		g := mustRunGroup(protoConfig(tr, seed), jobs,
+		g := mustRunGroup(cfg, jobs,
 			sched.NewKubeDefault(), sched.NewCAP(sched.NewKubeDefault(), 20))
-		p := mustRunGroup(protoConfig(tr, seed), jobs,
+		p := mustRunGroup(cfg, jobs,
 			sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 		return map[string]*sim.Result{
 			"default": g[0], "CAP": g[1],
@@ -206,8 +208,8 @@ func table3(opt Options) (*result.Artifact, error) {
 	names := []string{"FIFO", "W.Fair", "Decima", "GreenHadoop", "CAP-FIFO", "CAP-W.Fair", "CAP-Decima", "PCAPS"}
 	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
-		tr := e.trialTrace(c.grid, 60+c.size, seed)
-		cfg := simConfig(tr, seed)
+		tr := scenario.TrialWindow(e.traces[c.grid], 60+c.size, seed)
+		cfg := scenario.PaperSimConfig(false, tr, seed)
 		// Each CAP wrapper groups with its inner scheduler (identical
 		// decisions while the quota stays at K), and PCAPS with the
 		// Decima pair it samples from.

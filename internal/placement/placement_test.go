@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
 	"pcaps/internal/placement"
@@ -65,7 +66,10 @@ func captureRun(t *testing.T, seed int64, specs []sched.Spec) []capture {
 		}
 		factories[i] = f
 	}
-	jobs := workload.Batch(workload.BatchConfig{N: 10, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: seed})
+	jobs, err := workload.Generate(workload.GenConfig{N: 10, Arrivals: arrivals.Poisson{MeanSec: 25}, Mix: workload.MixBoth, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := carbon.SynthesizeAll(48, 60, seed)["CAISO"]
 	var caps []capture
 	events := 0

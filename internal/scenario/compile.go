@@ -8,7 +8,6 @@ import (
 
 	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
-	"pcaps/internal/cluster"
 	"pcaps/internal/dag"
 	fed "pcaps/internal/federation"
 	"pcaps/internal/metrics"
@@ -280,7 +279,7 @@ func (r *runEnv) resolveMembers() ([]member, error) {
 			if name == "" {
 				name = c.Grid
 			}
-			tr, err := r.traces.Trace(c, r.hours, synthSeedFor(r.seed, c.Grid))
+			tr, err := r.traces.Trace(c, r.hours, carbon.SynthSeed(r.seed, c.Grid))
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +301,7 @@ func (r *runEnv) resolveMembers() ([]member, error) {
 func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 	out := make([]member, len(grids))
 	for i, g := range grids {
-		tr, err := r.traces.Trace(ClusterSpec{Grid: g}, r.hours, synthSeedFor(r.seed, g))
+		tr, err := r.traces.Trace(ClusterSpec{Grid: g}, r.hours, carbon.SynthSeed(r.seed, g))
 		if err != nil {
 			return nil, err
 		}
@@ -312,26 +311,10 @@ func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 }
 
 // baseConfig builds one member simulation's engine configuration: the
-// Spark-standalone simulator environment (§5.2) or the Kubernetes
-// prototype (§6.3), with the spec's engine overrides applied. The
-// defaults reproduce the experiment engine's simConfig/protoConfig
-// byte-for-byte.
+// paper environment the spec selects (PaperSimConfig) with the spec's
+// engine overrides applied.
 func (r *runEnv) baseConfig(tr *carbon.Trace, cellSeed int64, m member) sim.Config {
-	var cfg sim.Config
-	if r.spec.Proto {
-		c := cluster.PaperConfig()
-		c.Seed = cellSeed
-		cfg = c.SimConfig(tr)
-	} else {
-		cfg = sim.Config{
-			NumExecutors:  100,
-			Trace:         tr,
-			MoveDelay:     1,
-			HoldExecutors: true,
-			IdleTimeout:   60,
-			Seed:          cellSeed,
-		}
-	}
+	cfg := PaperSimConfig(r.spec.Proto, tr, cellSeed)
 	if e := r.spec.Engine; e != nil {
 		if e.Executors > 0 {
 			cfg.NumExecutors = e.Executors
@@ -469,7 +452,7 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 		c := cells[i]
 		m := members[c.member]
 		cellSeed := seed.Derive(r.seed, m.key, int64(c.size), int64(c.trial))
-		tr := trialWindow(m.trace, 60+c.size, cellSeed)
+		tr := TrialWindow(m.trace, 60+c.size, cellSeed)
 		cfg := r.baseConfig(tr, cellSeed, m)
 		if r.streaming() {
 			// Hyperscale mode: each policy drains a fresh copy of the
@@ -623,15 +606,6 @@ func sweepTable(label string, pts []sweepPoint) *result.Table {
 	return t
 }
 
-// sweepState is one trial's stage-1 output: the shared batch and
-// configuration plus the baseline run every parameter point normalizes
-// against.
-type sweepState struct {
-	jobs []*dag.Job
-	cfg  sim.Config
-	base *sim.Result
-}
-
 func (r *runEnv) runSweep() (*result.Artifact, error) {
 	sw := r.spec.Sweep
 	var m member
@@ -690,13 +664,14 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 	// neighboring sweep values share almost every scheduling decision, so
 	// sim.RunGroup simulates the shared prefix once and forks per value.
 	// The fold walks trials in order so the sample order matches a serial
-	// sweep exactly.
-	states := make([]sweepState, trials)
+	// sweep exactly, with each point normalized against its trial's
+	// baseline, bases[t].
+	bases := make([]*sim.Result, trials)
 	runs := make([][]*sim.Result, trials)
 	r.pool.ForEach(trials, func(t int) {
 		cellSeed := seed.Derive(r.seed, m.key, int64(t))
 		jobs := r.batch(n, cellSeed)
-		tr := trialWindow(m.trace, 60+n, cellSeed)
+		tr := TrialWindow(m.trace, 60+n, cellSeed)
 		cfg := r.baseConfig(tr, cellSeed, m)
 		scheds := make([]sim.Scheduler, 0, len(values)+1)
 		scheds = append(scheds, baseline(cellSeed))
@@ -704,14 +679,14 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 			scheds = append(scheds, aware[i](cellSeed))
 		}
 		group := mustRunGroup(cfg, jobs, scheds)
-		states[t] = sweepState{jobs: jobs, cfg: cfg, base: group[0]}
+		bases[t] = group[0]
 		runs[t] = group[1:]
 	})
 	for t := 0; t < trials; t++ {
 		for i := range values {
 			res := runs[t][i]
-			pts[i].carbonPct = append(pts[i].carbonPct, -metrics.PercentChange(res.CarbonGrams, states[t].base.CarbonGrams))
-			pts[i].ects = append(pts[i].ects, res.ECT/states[t].base.ECT)
+			pts[i].carbonPct = append(pts[i].carbonPct, -metrics.PercentChange(res.CarbonGrams, bases[t].CarbonGrams))
+			pts[i].ects = append(pts[i].ects, res.ECT/bases[t].ECT)
 		}
 	}
 	label := sw.Label
@@ -857,7 +832,7 @@ func (r *runEnv) runFederation() (*result.Artifact, error) {
 		jobs := r.batch(njobs, cellSeed)
 		windows := make([]*carbon.Trace, len(members))
 		for mi, m := range members {
-			windows[mi] = trialWindow(m.trace, window, seed.Derive(cellSeed, m.key))
+			windows[mi] = TrialWindow(m.trace, window, seed.Derive(cellSeed, m.key))
 		}
 		variants, err := variantsFor(members)
 		if err != nil {

@@ -13,7 +13,9 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
+	"pcaps/internal/cluster"
 	"pcaps/internal/seed"
+	"pcaps/internal/sim"
 )
 
 // Pool bounds the worker goroutines a compiled scenario fans its cells
@@ -110,16 +112,16 @@ spawn:
 
 // TraceProvider resolves one cluster's carbon source to a trace. hours
 // and synthSeed apply to the "synth" source (the seed already carries
-// the grid's derivation offset); csv and carbonapi sources return the
-// trace as stored/served. Injected by tests and by servers that must
+// the grid's carbon.SynthSeed offset); csv and carbonapi sources return
+// the trace as stored/served. Injected by tests and by servers that must
 // not touch the filesystem or network on behalf of a request.
 type TraceProvider interface {
 	Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace, error)
 }
 
-// Sources is the default TraceProvider: calibrated synthesis (cached,
-// like the experiment engine's trace cache), CSV files, and live
-// carbonapi fetches.
+// Sources is the default TraceProvider: calibrated synthesis through
+// SynthTrace's process-wide cache (the one the hand-written experiment
+// runners read too), CSV files, and live carbonapi fetches.
 type Sources struct {
 	// FetchTimeout bounds one carbonapi fetch (0: 30 s — a full
 	// three-year trace is ~26k samples).
@@ -137,12 +139,13 @@ type synthEntry struct {
 	tr   *carbon.Trace
 }
 
-// synthCache shares synthesized traces across scenario runs; traces are
-// read-only after construction, so concurrent reuse is safe. Entries
-// are capped: a long-lived server answering specs with ever-new
-// (seed, hours) pairs must not accumulate traces forever, so past the
-// cap new keys synthesize uncached (correctness is unaffected — the
-// cache is purely a de-duplication of pure-function results).
+// synthCache shares synthesized traces across scenario runs and
+// experiment runners; traces are read-only after construction, so
+// concurrent reuse is safe. Entries are capped: a long-lived server
+// answering specs with ever-new (seed, hours) pairs must not accumulate
+// traces forever, so past the cap new keys synthesize uncached
+// (correctness is unaffected — the cache is purely a de-duplication of
+// pure-function results).
 var (
 	synthCache      sync.Map // synthKey → *synthEntry
 	synthCacheCount atomic.Int64
@@ -152,6 +155,28 @@ var (
 // comfortably above what `-exp all` plus the examples touch.
 const maxSynthCacheEntries = 64
 
+// SynthTrace returns carbon.Synthesize(spec, hours, 60, seed), computed
+// once per process for each (grid, hours, seed) while the cache has
+// room. Concurrent first calls for one key synthesize once between them.
+// The returned trace is shared and must not be modified.
+func SynthTrace(spec carbon.GridSpec, hours int, seed int64) *carbon.Trace {
+	key := synthKey{grid: spec.Name, hours: hours, seed: seed}
+	v, ok := synthCache.Load(key)
+	if !ok {
+		if synthCacheCount.Load() >= maxSynthCacheEntries {
+			return carbon.Synthesize(spec, hours, 60, seed)
+		}
+		var loaded bool
+		v, loaded = synthCache.LoadOrStore(key, &synthEntry{})
+		if !loaded {
+			synthCacheCount.Add(1)
+		}
+	}
+	e := v.(*synthEntry)
+	e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, seed) })
+	return e.tr
+}
+
 // Trace implements TraceProvider.
 func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace, error) {
 	switch src := c.Source; src {
@@ -160,22 +185,7 @@ func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace
 		if err != nil {
 			return nil, err
 		}
-		key := synthKey{grid: c.Grid, hours: hours, seed: synthSeed}
-		if v, ok := synthCache.Load(key); ok {
-			e := v.(*synthEntry)
-			e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, synthSeed) })
-			return e.tr, nil
-		}
-		if synthCacheCount.Load() >= maxSynthCacheEntries {
-			return carbon.Synthesize(spec, hours, 60, synthSeed), nil
-		}
-		v, loaded := synthCache.LoadOrStore(key, &synthEntry{})
-		if !loaded {
-			synthCacheCount.Add(1)
-		}
-		e := v.(*synthEntry)
-		e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, synthSeed) })
-		return e.tr, nil
+		return SynthTrace(spec, hours, synthSeed), nil
 	case "csv":
 		f, err := os.Open(c.CSV)
 		if err != nil {
@@ -205,11 +215,15 @@ func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace
 	}
 }
 
-// trialWindow replays the experiment engine's randomized trial windows
-// byte-for-byte: a uniformly random start offset into the trace drawn
-// from an RNG seeded by the cell's identity (domain-separated from the
-// job batch, which consumes the undecorated cell seed).
-func trialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trace {
+// TrialWindow returns the trace window of one randomized trial (§6.1): a
+// uniformly random start offset into the grid's history, drawn from an
+// RNG seeded by the cell's identity, so the window depends only on the
+// cell — not on how many draws other cells made first — and serial and
+// parallel runs see identical windows. The cell seed is domain-separated
+// first because the cell's job batch consumes the undecorated seed;
+// without separation the offset would be the batch stream's first draw.
+// A trace no longer than the window is returned whole.
+func TrialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trace {
 	maxStart := len(tr.Values) - windowHours
 	if maxStart < 1 {
 		return tr
@@ -219,15 +233,23 @@ func trialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trac
 	return tr.Slice(off, float64(windowHours)*tr.Interval)
 }
 
-// synthSeedFor derives the synthesis seed of one grid the way the
-// experiment engine's env does: the run seed offset by the grid's index
-// in the canonical Table 1 order, so a scenario and a built-in artifact
-// replaying the same grid at the same seed see identical intensities.
-func synthSeedFor(runSeed int64, grid string) int64 {
-	for i, spec := range carbon.Grids() {
-		if spec.Name == grid {
-			return runSeed + int64(i)*1000003
-		}
+// PaperSimConfig returns the engine configuration of one of the paper's
+// two cluster environments, with the given trace and seed: the
+// Spark-standalone simulator (§5.2: 100 shared executors that
+// applications retain under dynamic allocation), or with proto the
+// Kubernetes prototype (§6.3, cluster.PaperConfig).
+func PaperSimConfig(proto bool, tr *carbon.Trace, seed int64) sim.Config {
+	if proto {
+		c := cluster.PaperConfig()
+		c.Seed = seed
+		return c.SimConfig(tr)
 	}
-	return runSeed
+	return sim.Config{
+		NumExecutors:  100,
+		Trace:         tr,
+		MoveDelay:     1,
+		HoldExecutors: true,
+		IdleTimeout:   60,
+		Seed:          seed,
+	}
 }

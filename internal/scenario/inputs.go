@@ -15,8 +15,8 @@ type ResolvedCluster struct {
 	// Trace is the full resolved carbon trace (the per-trial windows
 	// the runs slice out of it derive from the cell seeds).
 	Trace *carbon.Trace
-	// SynthSeed is the seed a "synth" source was generated with (the
-	// run seed offset by the grid's canonical index) — the value that
+	// SynthSeed is the seed a "synth" source was generated with
+	// (carbon.SynthSeed of the run seed and the grid) — the value that
 	// regenerates the trace via carbon.Synthesize or `tracegen -grid
 	// NAME -seed SynthSeed`. Meaningless for csv/carbonapi sources.
 	SynthSeed int64
@@ -149,7 +149,7 @@ func (p *Program) Inputs(env Env) (out *Inputs, err error) {
 	for _, m := range members {
 		out.Clusters = append(out.Clusters, ResolvedCluster{
 			Name: m.key, Grid: m.grid, Trace: m.trace,
-			SynthSeed: synthSeedFor(r.seed, m.grid),
+			SynthSeed: carbon.SynthSeed(r.seed, m.grid),
 		})
 	}
 	return out, nil

@@ -11,7 +11,10 @@
 // paper artifacts: the sweeps, per-grid comparison, and federation
 // runner families in internal/experiments are themselves declared as
 // Specs and compiled through this package (their golden tests pin the
-// bytes).
+// bytes). The remaining hand-written runners build their cells from this
+// package's parts too: the cached grid traces (SynthTrace), the trial
+// windows (TrialWindow), and the two paper environments
+// (PaperSimConfig).
 //
 // Determinism contract: a compiled scenario is a pure function of
 // (Spec, fast flag) — every stochastic choice derives from

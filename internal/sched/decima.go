@@ -33,13 +33,6 @@ type Probabilistic interface {
 // over runnable stages yields the distribution, exactly the interface
 // Def. 4.1 requires; the next stage is sampled from it.
 type Decima struct {
-	// CPWeight and SRPTWeight scale the two score components; the
-	// defaults (3, 4) were tuned so Decima beats FIFO on JCT across the
-	// TPC-H and Alibaba workloads while keeping the distribution spread
-	// informative for PCAPS's relative-importance signal.
-	CPWeight, SRPTWeight float64
-	// Temperature divides scores before the softmax; lower is greedier.
-	Temperature float64
 	// Seed drives stage sampling.
 	Seed int64
 
@@ -55,9 +48,22 @@ type Decima struct {
 	probs     []float64
 }
 
-// NewDecima returns a Decima-like scheduler with tuned defaults.
+// Decima's score weights: a stage scores decimaCPWeight × its
+// normalized downstream critical path minus decimaSRPTWeight × its job's
+// normalized remaining work, divided by decimaTemperature before the
+// softmax (lower is greedier). The weights were tuned so Decima beats
+// FIFO on JCT across the TPC-H and Alibaba workloads while keeping the
+// distribution spread informative for PCAPS's relative-importance
+// signal.
+const (
+	decimaCPWeight    = 3
+	decimaSRPTWeight  = 4
+	decimaTemperature = 1
+)
+
+// NewDecima returns a Decima-like scheduler.
 func NewDecima(seed int64) *Decima {
-	return &Decima{CPWeight: 3, SRPTWeight: 4, Temperature: 1, Seed: seed}
+	return &Decima{Seed: seed}
 }
 
 // Name implements sim.Scheduler.
@@ -80,13 +86,6 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 	d.refs = runnable
 	if len(runnable) == 0 {
 		return nil, nil
-	}
-	cpW, srptW, temp := d.CPWeight, d.SRPTWeight, d.Temperature
-	if cpW == 0 && srptW == 0 {
-		cpW, srptW = 3, 4
-	}
-	if temp <= 0 {
-		temp = 1
 	}
 	// Normalizers across the runnable set. The view is job-major, so
 	// per-job remaining work is computed once per group boundary and
@@ -125,7 +124,7 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 		if maxRemain > 0 {
 			srptNorm = jobRemain / maxRemain
 		}
-		scores[i] = (cpW*cpNorm - srptW*srptNorm) / temp
+		scores[i] = (decimaCPWeight*cpNorm - decimaSRPTWeight*srptNorm) / decimaTemperature
 		if scores[i] > maxScore {
 			maxScore = scores[i]
 		}

@@ -17,12 +17,13 @@ type GreenHadoop struct {
 	// Theta blends the windows: 0 is carbon-agnostic (brown window),
 	// 1 fully carbon-aware (green window). Default 0.5 as in A.1.1.
 	Theta float64
-	// MaxLookahead bounds the green-window search in carbon intervals
-	// (default 96, i.e. four days at hourly granularity).
-	MaxLookahead int
 
 	fifo FIFO
 }
+
+// greenHadoopLookahead bounds the green-window search in carbon
+// intervals: four days at hourly granularity.
+const greenHadoopLookahead = 96
 
 // NewGreenHadoop returns the baseline with the paper's default θ = 0.5.
 func NewGreenHadoop() *GreenHadoop { return &GreenHadoop{Theta: 0.5} }
@@ -44,10 +45,6 @@ func (g *GreenHadoop) executorBudget(c *sim.Cluster) int {
 	if theta > 1 {
 		theta = 1
 	}
-	look := g.MaxLookahead
-	if look <= 0 {
-		look = 96
-	}
 	k := float64(c.K())
 	iv := c.CarbonInterval()
 	outstanding := c.OutstandingWork() // executor-seconds
@@ -58,8 +55,8 @@ func (g *GreenHadoop) executorBudget(c *sim.Cluster) int {
 	// Green window: intervals until cumulative green capacity covers the
 	// outstanding work; capped at the lookahead horizon.
 	var greenSupply float64
-	green := float64(look)
-	for i := 0; i < look; i++ {
+	green := float64(greenHadoopLookahead)
+	for i := 0; i < greenHadoopLookahead; i++ {
 		at := c.Now() + float64(i)*iv
 		greenSupply += k * c.GreenFractionAt(at) * iv
 		if greenSupply >= outstanding {

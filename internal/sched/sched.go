@@ -57,6 +57,10 @@ func (f *FIFO) Pick(c *sim.Cluster) sim.Decision {
 // cluster, mirroring how Kubernetes enforces it outside Spark.
 func NewKubeDefault() *FIFO { return &FIFO{Label: "default"} }
 
+// weightedFairExponent shapes WeightedFair's job weight
+// w_j = (remaining work)^weightedFairExponent.
+const weightedFairExponent = -0.5
+
 // wfJobInfo is WeightedFair's per-job scratch record.
 type wfJobInfo struct {
 	job    *sim.JobRun
@@ -67,15 +71,11 @@ type wfJobInfo struct {
 // WeightedFair assigns executors across jobs by workload-derived weights,
 // mirroring the simulator heuristic of [48] ("a heuristic tuned for the
 // simulator's test jobs"). Within a job it prefers the stage heading the
-// heaviest downstream chain. The tuned default weight is
+// heaviest downstream chain. The tuned weight is
 // w_j = (remaining work)^-0.5: shares lean toward nearly finished jobs,
 // which drives average JCT well below FIFO (the Table 3 ordering) while
 // every job retains a positive share and cannot starve.
 type WeightedFair struct {
-	// Exponent shapes the weight w_j = (remaining work)^Exponent.
-	// Zero selects the tuned default of -0.5.
-	Exponent float64
-
 	cp cpCache
 	// infos is per-Pick scratch, reused across calls.
 	infos []wfJobInfo
@@ -92,10 +92,6 @@ func (w *WeightedFair) Pick(c *sim.Cluster) sim.Decision {
 	if len(runnable) == 0 {
 		return sim.DeferDecision
 	}
-	exp := w.Exponent
-	if exp == 0 {
-		exp = -0.5
-	}
 	// Compute each active job's weight and deficit (target − current).
 	// The runnable view is job-major (arrival order, stages grouped), so
 	// jobs are deduplicated at group boundaries without a set.
@@ -107,7 +103,7 @@ func (w *WeightedFair) Pick(c *sim.Cluster) sim.Decision {
 			continue
 		}
 		lastJob = ref.Job
-		wt := math.Pow(math.Max(ref.Job.RemainingWork(), 1), exp)
+		wt := math.Pow(math.Max(ref.Job.RemainingWork(), 1), weightedFairExponent)
 		w.infos = append(w.infos, wfJobInfo{job: ref.Job, weight: wt})
 		totalWeight += wt
 	}

@@ -23,7 +23,11 @@ func deTrace(t testing.TB) *carbon.Trace {
 
 func tpchBatch(t testing.TB, n int, seed int64) []*dag.Job {
 	t.Helper()
-	return workload.Batch(workload.BatchConfig{N: n, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: seed})
+	jobs, err := workload.Generate(workload.GenConfig{N: n, Mix: workload.MixTPCH, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
 }
 
 func runWith(t testing.TB, s sim.Scheduler, jobs []*dag.Job, tr *carbon.Trace, k int) *sim.Result {
@@ -386,7 +390,10 @@ func TestPCAPSAlwaysProgressesWhenClusterIdle(t *testing.T) {
 
 func TestWeightedFairAlibaba(t *testing.T) {
 	tr := deTrace(t)
-	jobs := workload.Batch(workload.BatchConfig{N: 12, Mix: workload.MixAlibaba, Seed: 43})
+	jobs, err := workload.Generate(workload.GenConfig{N: 12, Mix: workload.MixAlibaba, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := runWith(t, &WeightedFair{}, jobs, tr, 15)
 	if res.ECT <= 0 {
 		t.Fatal("WeightedFair failed on Alibaba DAGs")

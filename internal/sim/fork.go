@@ -34,12 +34,12 @@ type groupVariant struct {
 }
 
 // forkable reports whether a configuration supports lockstep group
-// execution. Jitter and failure injection consume the cluster RNG (whose
-// draw order would interleave across variants), stateful forecasters and
+// execution. Failure injection consumes the cluster RNG (whose draw
+// order would interleave across variants), stateful forecasters and
 // observers cannot be cloned, and per-job usage rows are not worth the
 // clone complexity — those configurations fall back to independent runs.
 func forkable(cfg Config) bool {
-	return cfg.DurationJitter == 0 && cfg.FailureRate == 0 &&
+	return cfg.FailureRate == 0 &&
 		cfg.Forecaster == nil && cfg.Observer == nil && !cfg.TrackJobUsage
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
 	"pcaps/internal/sched"
@@ -86,9 +87,12 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					tr := mkTrace(t)
-					sorted := workload.Batch(workload.BatchConfig{
-						N: 12, MeanInterarrival: 45, Mix: workload.MixTPCH, Seed: seed,
+					sorted, err := workload.Generate(workload.GenConfig{
+						N: 12, Arrivals: arrivals.Poisson{MeanSec: 45}, Mix: workload.MixTPCH, Seed: seed,
 					})
+					if err != nil {
+						t.Fatal(err)
+					}
 					// The reversed batch is not sorted by arrival: Run admits
 					// it in arrival order and a fork clones jobs not yet
 					// admitted.
@@ -133,7 +137,10 @@ func TestRunGroupSingleAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := workload.Batch(workload.BatchConfig{N: 6, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 3})
+	jobs, err := workload.Generate(workload.GenConfig{N: 6, Mix: workload.MixTPCH, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	single := sim.Config{NumExecutors: 8, Trace: tr, Seed: 3}
 	got, err := sim.RunGroup(single, jobs, []sim.Scheduler{&sched.FIFO{}})

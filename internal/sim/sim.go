@@ -73,15 +73,12 @@ type Config struct {
 	// the job's whole lifetime (standalone mode without dynamic
 	// allocation).
 	IdleTimeout float64
-	// DurationJitter is the relative standard deviation of task
-	// durations (0 = deterministic).
-	DurationJitter float64
 	// FailureRate is the probability that a task attempt fails and is
 	// retried on the same executor (transient failure injection; the
 	// lost attempt still consumed executor time and carbon). Must be in
 	// [0, 0.9].
 	FailureRate float64
-	// Seed drives task-duration jitter and failure injection.
+	// Seed drives failure injection.
 	Seed int64
 	// MaxEvents bounds the event loop as a hang guard; 0 selects a
 	// generous default.
@@ -979,7 +976,7 @@ func (c *Cluster) dispatchReserved() {
 			c.busyCount++
 			st.Running++
 			c.noteDispatch(j, st)
-			c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
+			c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
 		}
 	}
 }
@@ -998,19 +995,7 @@ func (c *Cluster) bind(e *executor, j *JobRun, st *StageRun) {
 	j.Executors++
 	st.Running++
 	c.noteDispatch(j, st)
-	c.push(event{at: c.clock + delay + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
-}
-
-// taskDuration samples one task's duration with optional jitter.
-func (c *Cluster) taskDuration(st *StageRun) float64 {
-	d := st.Stage.TaskDuration
-	if c.cfg.DurationJitter > 0 {
-		d *= 1 + c.cfg.DurationJitter*c.rng.NormFloat64()
-		if d < st.Stage.TaskDuration/10 {
-			d = st.Stage.TaskDuration / 10
-		}
-	}
-	return d
+	c.push(event{at: c.clock + delay + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
 }
 
 // completeTask handles a task-done event: the attempt may fail and retry
@@ -1022,7 +1007,7 @@ func (c *Cluster) completeTask(e *executor) {
 	if c.cfg.FailureRate > 0 && c.rng.Float64() < c.cfg.FailureRate {
 		// The attempt is lost; the executor retries the task in place.
 		c.retries++
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
+		c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
 		return
 	}
 	st.Completed++
@@ -1033,7 +1018,7 @@ func (c *Cluster) completeTask(e *executor) {
 	// Continue on the same stage when tasks remain and the limit holds.
 	if st.RemainingTasks() > 0 && st.Running <= st.Limit {
 		c.noteDispatch(j, st)
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: int32(e.id)})
+		c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
 		return
 	}
 	// Release the executor: back to the job's held pool in standalone

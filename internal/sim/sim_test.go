@@ -263,7 +263,7 @@ func TestCarbonAccountingVaryingTrace(t *testing.T) {
 
 func TestUsageConservation(t *testing.T) {
 	// Total busy executor-seconds equals total work when there are no
-	// move delays and no jitter.
+	// move delays.
 	jobs := []*dag.Job{chainJob(t, 0, 25, 35), chainJob(t, 1, 40)}
 	jobs[1].Arrival = 10
 	res, err := Run(cfg(t, 3), jobs, greedy{})
@@ -309,7 +309,7 @@ func TestDeferringSchedulerFailsJobs(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	jobs := []*dag.Job{chainJob(t, 0, 13, 7), chainJob(t, 1, 9)}
 	c := cfg(t, 2)
-	c.DurationJitter = 0.2
+	c.FailureRate = 0.3
 	c.Seed = 42
 	a, err := Run(c, jobs, greedy{})
 	if err != nil {
@@ -328,7 +328,7 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.ECT == d.ECT {
-		t.Fatal("jitter seed had no effect")
+		t.Fatal("failure-injection seed had no effect")
 	}
 }
 

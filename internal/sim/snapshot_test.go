@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pcaps/internal/arrivals"
 	"pcaps/internal/carbon"
 	"pcaps/internal/workload"
 )
@@ -16,7 +17,10 @@ import (
 // busy executors, partial stages, and multiple active jobs.
 func midRunSnapshot(t *testing.T, seed int64, n int) *Snapshot {
 	t.Helper()
-	jobs := workload.Batch(workload.BatchConfig{N: 8, MeanInterarrival: 20, Mix: workload.MixBoth, Seed: seed})
+	jobs, err := workload.Generate(workload.GenConfig{N: 8, Arrivals: arrivals.Poisson{MeanSec: 20}, Mix: workload.MixBoth, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := carbon.SynthesizeAll(48, 60, seed)["PJM"]
 	var snap *Snapshot
 	events := 0
@@ -266,7 +270,10 @@ func (p *placeChecker) verify(c *Cluster) {
 
 func TestPlacePredictsLiveBind(t *testing.T) {
 	for _, hold := range []bool{false, true} {
-		jobs := workload.Batch(workload.BatchConfig{N: 10, MeanInterarrival: 15, Mix: workload.MixBoth, Seed: 5})
+		jobs, err := workload.Generate(workload.GenConfig{N: 10, Arrivals: arrivals.Poisson{MeanSec: 15}, Mix: workload.MixBoth, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
 		p := &placeChecker{t: t}
 		cfg := Config{
 			NumExecutors:  16,

@@ -1,41 +1,43 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
 	"pcaps/internal/arrivals"
 )
 
-// TestGenerateMatchesBatch pins the byte-identity contract: Generate
-// with an explicit Poisson process is the exact historical Batch — same
-// shapes, same arrival times, for every mix.
-func TestGenerateMatchesBatch(t *testing.T) {
+// TestGenerateDigest pins the paper's batch draw bit for bit: for each
+// mix, the 60-job batch at seed 7 with Poisson-30 arrivals must hash to
+// a recorded digest of every name, arrival, and stage's task count,
+// duration and parents. A change here moves every artifact built on
+// these batches.
+func TestGenerateDigest(t *testing.T) {
+	want := map[Mix]string{
+		MixTPCH:    "c3a3bd143b70a016cb360c6c64f372c2b0f57dd42665355d2e1ff43daebb1156",
+		MixAlibaba: "ebca6a3fa43ae0fb076a412e6ac1ac578b1808f0efcca6eb57bf273f5f0b7268",
+		MixBoth:    "23fbd4a756a4e5db4dcecc33939be5d8727010f3d601d5e5033bc2e2156877a0",
+	}
 	for _, mix := range []Mix{MixTPCH, MixAlibaba, MixBoth} {
-		legacy := Batch(BatchConfig{N: 60, MeanInterarrival: 30, Mix: mix, Seed: 7})
-		got, err := Generate(GenConfig{
-			N:        60,
-			Arrivals: arrivals.Poisson{MeanSec: 30},
-			Mix:      mix,
-			Seed:     7,
-		})
+		jobs, err := Generate(GenConfig{N: 60, Arrivals: arrivals.Poisson{MeanSec: 30}, Mix: mix, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(legacy) {
-			t.Fatalf("mix %v: %d jobs vs %d", mix, len(got), len(legacy))
+		h := sha256.New()
+		for _, j := range jobs {
+			if j.Class != "" {
+				t.Fatalf("mix %v job %d: homogeneous batch tagged class %q", mix, j.ID, j.Class)
+			}
+			fmt.Fprintf(h, "%d %s %x\n", j.ID, j.Name, math.Float64bits(j.Arrival))
+			for _, st := range j.Stages {
+				fmt.Fprintf(h, " %d %x %v\n", st.NumTasks, math.Float64bits(st.TaskDuration), st.Parents)
+			}
 		}
-		for i := range got {
-			if got[i].Arrival != legacy[i].Arrival {
-				t.Fatalf("mix %v job %d: arrival %v vs %v", mix, i, got[i].Arrival, legacy[i].Arrival)
-			}
-			if got[i].Name != legacy[i].Name || got[i].TotalWork() != legacy[i].TotalWork() {
-				t.Fatalf("mix %v job %d: shape differs (%s/%v vs %s/%v)",
-					mix, i, got[i].Name, got[i].TotalWork(), legacy[i].Name, legacy[i].TotalWork())
-			}
-			if got[i].Class != "" {
-				t.Fatalf("mix %v job %d: homogeneous batch tagged class %q", mix, i, got[i].Class)
-			}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[mix] {
+			t.Errorf("mix %v: digest %s, want %s", mix, got, want[mix])
 		}
 	}
 }
@@ -45,7 +47,10 @@ func TestGenerateNilArrivalsDefaultsToPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Batch(BatchConfig{N: 20, Seed: 3})
+	want, err := Generate(GenConfig{N: 20, Arrivals: arrivals.Poisson{MeanSec: 30}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range got {
 		if got[i].Arrival != want[i].Arrival {
 			t.Fatalf("job %d: arrival %v vs %v", i, got[i].Arrival, want[i].Arrival)
@@ -132,6 +137,9 @@ func TestGenerateScheduleClasses(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
+	if _, err := Generate(GenConfig{N: -2, Seed: 1}); err == nil {
+		t.Fatal("expected an error for a negative batch size")
+	}
 	short := arrivals.Schedule{Times: []float64{0, 1}}
 	if _, err := Generate(GenConfig{N: 3, Arrivals: short, Seed: 1}); err == nil {
 		t.Fatal("expected an error for a schedule shorter than N")

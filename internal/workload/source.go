@@ -33,6 +33,9 @@ type Source struct {
 // NewSource validates the configuration and positions a fresh source at
 // the first arrival.
 func NewSource(cfg GenConfig) (*Source, error) {
+	if cfg.N < 0 {
+		return nil, fmt.Errorf("workload: negative batch size %d", cfg.N)
+	}
 	proc := cfg.Arrivals
 	if proc == nil {
 		proc = arrivals.Poisson{MeanSec: arrivals.DefaultPoissonMeanSec}

@@ -220,7 +220,7 @@ func Alibaba(r *rand.Rand, jobID int) *dag.Job {
 	return j
 }
 
-// Mix selects the workload family for Batch.
+// Mix selects the workload family of a generated batch.
 type Mix int
 
 const (
@@ -243,41 +243,6 @@ func (m Mix) String() string {
 		return "both"
 	}
 	return fmt.Sprintf("mix(%d)", int(m))
-}
-
-// BatchConfig parameterizes Batch.
-type BatchConfig struct {
-	// N is the number of jobs.
-	N int
-	// MeanInterarrival is the Poisson process's mean gap in seconds
-	// (the paper's default is 30).
-	MeanInterarrival float64
-	// Mix selects the workload family.
-	Mix Mix
-	// Seed makes the batch reproducible.
-	Seed int64
-}
-
-// Batch generates a continuously arriving batch of jobs: job IDs 0..N−1
-// with exponential interarrival gaps — the paper's workload shape. It
-// is a thin wrapper over Generate with a Poisson arrival process; the
-// draw interleaving (job i's shape draws, then its gap draw) is
-// identical, so batches are byte-for-byte the historical ones.
-func Batch(cfg BatchConfig) []*dag.Job {
-	mean := cfg.MeanInterarrival
-	if mean <= 0 {
-		mean = arrivals.DefaultPoissonMeanSec
-	}
-	jobs, err := Generate(GenConfig{
-		N:        cfg.N,
-		Arrivals: arrivals.Poisson{MeanSec: mean},
-		Mix:      cfg.Mix,
-		Seed:     cfg.Seed,
-	})
-	if err != nil {
-		panic(err) // unreachable: Poisson is open-ended and classless
-	}
-	return jobs
 }
 
 // Class describes one heterogeneous job class: a named DAG family with
@@ -317,8 +282,7 @@ type GenConfig struct {
 	Seed int64
 }
 
-// fromMix draws one job of the given family — the historical Batch
-// dispatch, byte-identical in its RNG consumption.
+// fromMix draws one job of the given family.
 func fromMix(mix Mix, r *rand.Rand, id int) *dag.Job {
 	switch mix {
 	case MixAlibaba:
@@ -335,15 +299,17 @@ func fromMix(mix Mix, r *rand.Rand, id int) *dag.Job {
 
 // Generate builds a batch of jobs whose arrival times come from an
 // arrival process and whose shapes come from a workload mix or a
-// heterogeneous class set. Job IDs are 0..N−1 in arrival order.
+// heterogeneous class set. Job IDs are 0..N−1 in arrival order. It is
+// the one batch constructor; the paper's workload shape (§6.1) is the
+// default nil Arrivals, Poisson gaps with a 30-second mean.
 //
 // Generate is the materializing wrapper over Source: it drains a fresh
 // source into a slice, so the batch is byte-for-byte what streaming
 // consumers observe job by job.
 //
-// Errors are configuration errors: a finite schedule shorter than N, a
-// schedule class label naming no declared class, or a non-positive
-// class weight.
+// Errors are configuration errors: a negative N, a finite schedule
+// shorter than N, a schedule class label naming no declared class, or a
+// non-positive class weight.
 func Generate(cfg GenConfig) ([]*dag.Job, error) {
 	src, err := NewSource(cfg)
 	if err != nil {

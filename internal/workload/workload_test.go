@@ -5,7 +5,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pcaps/internal/dag"
 )
+
+// mustGenerate draws a batch, failing the test on a configuration error.
+func mustGenerate(t *testing.T, cfg GenConfig) []*dag.Job {
+	t.Helper()
+	jobs, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
 
 func TestTPCHQueryValid(t *testing.T) {
 	for q := 0; q < NumTPCHQueries; q++ {
@@ -105,7 +117,7 @@ func TestAlibabaShapeStatistics(t *testing.T) {
 }
 
 func TestBatchArrivalsMonotone(t *testing.T) {
-	jobs := Batch(BatchConfig{N: 50, MeanInterarrival: 30, Mix: MixTPCH, Seed: 1})
+	jobs := mustGenerate(t, GenConfig{N: 50, Mix: MixTPCH, Seed: 1})
 	if len(jobs) != 50 {
 		t.Fatalf("len = %d", len(jobs))
 	}
@@ -123,7 +135,7 @@ func TestBatchArrivalsMonotone(t *testing.T) {
 }
 
 func TestBatchMeanInterarrival(t *testing.T) {
-	jobs := Batch(BatchConfig{N: 4000, MeanInterarrival: 30, Mix: MixTPCH, Seed: 5})
+	jobs := mustGenerate(t, GenConfig{N: 4000, Mix: MixTPCH, Seed: 5})
 	gap := jobs[len(jobs)-1].Arrival / float64(len(jobs)-1)
 	if math.Abs(gap-30) > 3 {
 		t.Fatalf("mean interarrival %v, want ≈30", gap)
@@ -131,14 +143,14 @@ func TestBatchMeanInterarrival(t *testing.T) {
 }
 
 func TestBatchDeterministic(t *testing.T) {
-	a := Batch(BatchConfig{N: 20, Mix: MixBoth, Seed: 3})
-	b := Batch(BatchConfig{N: 20, Mix: MixBoth, Seed: 3})
+	a := mustGenerate(t, GenConfig{N: 20, Mix: MixBoth, Seed: 3})
+	b := mustGenerate(t, GenConfig{N: 20, Mix: MixBoth, Seed: 3})
 	for i := range a {
 		if a[i].Arrival != b[i].Arrival || a[i].TotalWork() != b[i].TotalWork() {
 			t.Fatalf("batch not deterministic at job %d", i)
 		}
 	}
-	c := Batch(BatchConfig{N: 20, Mix: MixBoth, Seed: 4})
+	c := mustGenerate(t, GenConfig{N: 20, Mix: MixBoth, Seed: 4})
 	if a[5].TotalWork() == c[5].TotalWork() && a[7].Arrival == c[7].Arrival {
 		t.Fatal("different seeds produced identical batches")
 	}
@@ -146,7 +158,7 @@ func TestBatchDeterministic(t *testing.T) {
 
 func TestBatchMixes(t *testing.T) {
 	for _, mix := range []Mix{MixTPCH, MixAlibaba, MixBoth} {
-		jobs := Batch(BatchConfig{N: 10, Mix: mix, Seed: 2})
+		jobs := mustGenerate(t, GenConfig{N: 10, Mix: mix, Seed: 2})
 		for _, j := range jobs {
 			if err := j.Validate(); err != nil {
 				t.Fatalf("mix %v job %d: %v", mix, j.ID, err)
@@ -159,7 +171,7 @@ func TestBatchMixes(t *testing.T) {
 }
 
 func TestTotalWork(t *testing.T) {
-	jobs := Batch(BatchConfig{N: 5, Mix: MixTPCH, Seed: 9})
+	jobs := mustGenerate(t, GenConfig{N: 5, Mix: MixTPCH, Seed: 9})
 	var want float64
 	for _, j := range jobs {
 		want += j.TotalWork()
