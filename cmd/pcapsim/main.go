@@ -58,7 +58,7 @@ func run() int {
 		grids    = flag.String("grids", "", "comma-separated grid subset (default: all six)")
 		trials   = flag.Int("trials", 0, "trials per configuration (0 = experiment default)")
 		jobs     = flag.Int("jobs", 0, "override batch size where applicable")
-		seed     = flag.Int64("seed", 42, "random seed")
+		seed     = flag.Int64("seed", 42, "random seed (nonzero)")
 		fast     = flag.Bool("fast", false, "shrink the experiment matrix for a quick pass")
 		parallel = flag.Int("parallel", 0, "worker goroutines for experiment cells (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
 		format   = flag.String("format", "text", "output format: "+strings.Join(result.Formats(), "|"))
@@ -132,6 +132,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "pcapsim: -%s does not apply to -scenario runs; set it in the spec file\n", conflict)
 			return 2
 		}
+	}
+	if *seed == 0 {
+		// Options reads a zero seed as "use the default", so -seed 0
+		// would silently print the -seed 42 run.
+		fmt.Fprintln(os.Stderr, "pcapsim: -seed 0 selects the default seed 42; pass a nonzero seed")
+		return 2
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

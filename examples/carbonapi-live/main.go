@@ -16,7 +16,9 @@ import (
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
 	"pcaps/internal/cluster"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
 
@@ -74,12 +76,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := cluster.PaperConfig()
-	def, err := cluster.Run(cfg, window, jobs, sched.NewKubeDefault())
+	cfg := scenario.PaperSimConfig(true, window, 0)
+	def, err := sim.Run(cfg, jobs, sched.NewKubeDefault())
 	if err != nil {
 		log.Fatal(err)
 	}
-	capRes, err := cluster.Run(cfg, window, jobs, sched.NewCAP(sched.NewKubeDefault(), 20))
+	capRes, err := sim.Run(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"pcaps/internal/carbon"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -27,10 +28,7 @@ func main() {
 		"grid", "coeff.var", "PCAPS ΔCO2", "CAP ΔCO2", "PCAPS ECT", "CAP ECT")
 	for _, name := range carbon.SortedNames(traces) {
 		tr := traces[name]
-		cfg := sim.Config{
-			NumExecutors: 100, Trace: tr, MoveDelay: 1,
-			HoldExecutors: true, IdleTimeout: 60, Seed: 1,
-		}
+		cfg := scenario.PaperSimConfig(false, tr, 1)
 		run := func(s sim.Scheduler) *sim.Result {
 			res, err := sim.Run(cfg, jobs, s)
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/metrics"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -26,10 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := sim.Config{
-		NumExecutors: 100, Trace: tr, MoveDelay: 1,
-		HoldExecutors: true, IdleTimeout: 60, Seed: 1,
-	}
+	cfg := scenario.PaperSimConfig(false, tr, 1)
 	run := func(s sim.Scheduler) *sim.Result {
 		res, err := sim.Run(cfg, jobs, s)
 		if err != nil {

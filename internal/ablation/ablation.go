@@ -17,13 +17,13 @@ package ablation
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"pcaps/internal/core"
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 )
@@ -199,23 +199,16 @@ type Outcome struct {
 	Deferrals   int
 }
 
-// Compare runs every variant on the same batch and configuration and
-// returns the outcomes in input order, with the carbon-agnostic baseline
-// first.
-func Compare(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, variants []sim.Scheduler) ([]Outcome, error) {
-	return CompareWith(cfg, jobs, baseline, variants, nil)
-}
-
-// CompareWith is Compare with an injectable fan-out: each runs fn(i) for
-// every index in [0, n), possibly concurrently (the simulations are
-// independent — sim.Run clones the job templates). A nil each runs the
-// suite serially. Outcomes come back in input order either way.
-func CompareWith(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, variants []sim.Scheduler,
-	each func(n int, fn func(i int))) ([]Outcome, error) {
+// Compare runs every variant on the same batch and configuration,
+// fanning the independent simulations out over pool (sim.Run clones the
+// job templates), and returns the outcomes in input order, with the
+// carbon-agnostic baseline first.
+func Compare(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, variants []sim.Scheduler,
+	pool scenario.Pool) ([]Outcome, error) {
 	scheds := append([]sim.Scheduler{baseline}, variants...)
 	outs := make([]Outcome, len(scheds))
 	errs := make([]error, len(scheds))
-	run := func(i int) {
+	pool.ForEach(len(scheds), func(i int) {
 		s := scheds[i]
 		res, err := sim.Run(cfg, jobs, s)
 		if err != nil {
@@ -226,14 +219,7 @@ func CompareWith(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, varian
 			Name: s.Name(), CarbonGrams: res.CarbonGrams,
 			ECT: res.ECT, AvgJCT: res.AvgJCT, Deferrals: res.Deferrals,
 		}
-	}
-	if each == nil {
-		for i := range scheds {
-			run(i)
-		}
-	} else {
-		each(len(scheds), run)
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -269,22 +255,9 @@ func Table(outs []Outcome) *result.Table {
 	return t
 }
 
-// Render formats outcomes as fixed-width text, the Table's text form.
-func Render(outs []Outcome) string {
-	if len(outs) == 0 {
-		return ""
-	}
-	return result.New().Add(Table(outs)).Body()
-}
-
 func safeRatio(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
-}
-
-func init() {
-	// Keep math imported even if clamping helpers churn.
-	_ = math.Inf
 }

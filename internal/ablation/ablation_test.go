@@ -7,6 +7,8 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
+	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -126,19 +128,19 @@ func TestCompareAndRender(t *testing.T) {
 	outs, err := Compare(cfg, jobs, sched.NewDecima(3), []sim.Scheduler{
 		&FilterPCAPS{PB: sched.NewDecima(3), Gamma: 0.5, Seed: 3},
 		&SuspendResume{Inner: sched.NewDecima(3), Theta: 0.5},
-	})
+	}, scenario.NewPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != 3 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
-	text := Render(outs)
+	text := result.New().Add(Table(outs)).Body()
 	if !strings.Contains(text, "Decima") || !strings.Contains(text, "SuspendResume") {
 		t.Fatalf("render missing rows:\n%s", text)
 	}
-	if Render(nil) != "" {
-		t.Fatal("empty render not empty")
+	if rows := Table(nil).Rows; len(rows) != 0 {
+		t.Fatalf("empty outcome set rendered %d rows", len(rows))
 	}
 }
 

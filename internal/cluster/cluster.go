@@ -1,20 +1,11 @@
-// Package cluster models the paper's prototype deployment (§5.1, §6.3): a
-// Spark-on-Kubernetes cluster of 51 VMs (one control plane, 50 workers
-// hosting two executor pods each), a namespace ResourceQuota that CAP
-// adjusts to throttle executor pods, per-job executor caps, pod startup
-// latency, and the carbon-intensity daemon that polls an HTTP API and
-// drives quota updates. Experiment execution reuses the discrete-event
-// engine of internal/sim configured with prototype semantics.
+// Package cluster models CAP's quota daemon in the paper's Kubernetes
+// prototype (§5.1): the executor pod shape, the namespace ResourceQuota
+// CAP adjusts to throttle executor pods, and the daemon that polls a
+// carbon-intensity HTTP API and drives the quota updates. The
+// prototype's engine configuration (§6.3) is scenario.PaperSimConfig.
 package cluster
 
-import (
-	"fmt"
-	"sync"
-
-	"pcaps/internal/carbon"
-	"pcaps/internal/dag"
-	"pcaps/internal/sim"
-)
+import "sync"
 
 // ExecutorShape is the resource footprint of one executor pod. The
 // paper's configuration allocates 4 VCPUs and 7 GB per executor, two per
@@ -27,65 +18,6 @@ type ExecutorShape struct {
 
 // PaperExecutorShape is the §6.3 executor footprint.
 var PaperExecutorShape = ExecutorShape{CPUMillis: 4000, MemoryMB: 7 * 1024}
-
-// Config describes the prototype testbed.
-type Config struct {
-	// Workers is the number of worker VMs (50 in the paper).
-	Workers int
-	// ExecutorsPerWorker is pods per worker (2 in the paper).
-	ExecutorsPerWorker int
-	// PerJobCap bounds executors per Spark application (25, §6.3).
-	PerJobCap int
-	// PodStartDelay is the latency of scheduling + starting an executor
-	// pod when an application acquires an executor, in seconds.
-	PodStartDelay float64
-	// IdleTimeout is Spark dynamic allocation's executorIdleTimeout in
-	// seconds (60 by default): how long an idle executor pod lingers.
-	IdleTimeout float64
-	// Seed is the engine seed, passed through as sim.Config.Seed.
-	Seed int64
-}
-
-// PaperConfig returns the §6.3 testbed: 50 workers × 2 executors = 100
-// executors, 25-executor job cap, 60-second idle timeout.
-func PaperConfig() Config {
-	return Config{
-		Workers:            50,
-		ExecutorsPerWorker: 2,
-		PerJobCap:          25,
-		PodStartDelay:      3,
-		IdleTimeout:        60,
-	}
-}
-
-// Executors returns the total executor pod capacity.
-func (c Config) Executors() int { return c.Workers * c.ExecutorsPerWorker }
-
-// SimConfig translates the prototype description into engine settings:
-// executor pods are held by applications until the idle timeout
-// (dynamic-allocation lingering), pod startup is the cross-job move
-// delay, and the per-job cap applies to all schedulers.
-func (c Config) SimConfig(tr *carbon.Trace) sim.Config {
-	return sim.Config{
-		NumExecutors:  c.Executors(),
-		Trace:         tr,
-		MoveDelay:     c.PodStartDelay,
-		PerJobCap:     c.PerJobCap,
-		HoldExecutors: true,
-		IdleTimeout:   c.IdleTimeout,
-		Seed:          c.Seed,
-	}
-}
-
-// Run executes a batch on the prototype cluster under the given
-// scheduler.
-func Run(cfg Config, tr *carbon.Trace, jobs []*dag.Job, s sim.Scheduler) (*sim.Result, error) {
-	if cfg.Workers < 1 || cfg.ExecutorsPerWorker < 1 {
-		return nil, fmt.Errorf("cluster: need at least one worker and executor, got %d×%d",
-			cfg.Workers, cfg.ExecutorsPerWorker)
-	}
-	return sim.Run(cfg.SimConfig(tr), jobs, s)
-}
 
 // ResourceQuota models a Kubernetes namespace ResourceQuota object [2]:
 // hard limits on CPU and memory that gate new pod admissions without

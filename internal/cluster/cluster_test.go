@@ -9,8 +9,6 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
-	"pcaps/internal/sched"
-	"pcaps/internal/workload"
 )
 
 func deTrace(t testing.TB) *carbon.Trace {
@@ -20,71 +18,6 @@ func deTrace(t testing.TB) *carbon.Trace {
 		t.Fatal(err)
 	}
 	return carbon.Synthesize(spec, 3000, 60, 17)
-}
-
-func TestPaperConfig(t *testing.T) {
-	cfg := PaperConfig()
-	if cfg.Executors() != 100 {
-		t.Fatalf("Executors = %d, want 100", cfg.Executors())
-	}
-	sc := cfg.SimConfig(deTrace(t))
-	if sc.NumExecutors != 100 || sc.PerJobCap != 25 || !sc.HoldExecutors {
-		t.Fatalf("SimConfig = %+v", sc)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	jobs, err := workload.Generate(workload.GenConfig{N: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Config{}, deTrace(t), jobs, &sched.FIFO{}); err == nil {
-		t.Fatal("zero-worker config accepted")
-	}
-}
-
-func TestPrototypeTable2Shape(t *testing.T) {
-	// The Table 2 relationships on one trial: Decima ≈ default in
-	// carbon (both are pod-bound); CAP and PCAPS reduce carbon by >10%
-	// with bounded ECT increases.
-	tr := deTrace(t)
-	jobs, err := workload.Generate(workload.GenConfig{N: 30, Mix: workload.MixTPCH, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PaperConfig()
-
-	def, err := Run(cfg, tr, jobs, sched.NewKubeDefault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Run(cfg, tr, jobs, sched.NewDecima(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capRes, err := Run(cfg, tr, jobs, sched.NewCAP(sched.NewKubeDefault(), 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := Run(cfg, tr, jobs, sched.NewPCAPS(sched.NewDecima(3), 0.5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dec.CarbonGrams-def.CarbonGrams) > 0.15*def.CarbonGrams {
-		t.Fatalf("Decima carbon %v too far from default %v", dec.CarbonGrams, def.CarbonGrams)
-	}
-	if capRes.CarbonGrams > 0.9*def.CarbonGrams {
-		t.Fatalf("CAP carbon %v did not reduce ≥10%% vs default %v", capRes.CarbonGrams, def.CarbonGrams)
-	}
-	if pc.CarbonGrams > 0.9*def.CarbonGrams {
-		t.Fatalf("PCAPS carbon %v did not reduce ≥10%% vs default %v", pc.CarbonGrams, def.CarbonGrams)
-	}
-	if pc.ECT > 1.25*def.ECT {
-		t.Fatalf("PCAPS ECT %v blew past default %v", pc.ECT, def.ECT)
-	}
-	if capRes.ECT < pc.ECT*0.95 {
-		t.Fatalf("CAP ECT %v should not beat PCAPS %v (Table 2 ordering)", capRes.ECT, pc.ECT)
-	}
 }
 
 func TestResourceQuota(t *testing.T) {
@@ -195,34 +128,6 @@ func TestQuotaDaemonErrors(t *testing.T) {
 	}
 	if _, err := d.Step(context.Background()); err == nil {
 		t.Fatal("unknown grid accepted")
-	}
-}
-
-func TestFig15FidelityContrast(t *testing.T) {
-	// Appendix A.1.2 / Fig 15: the prototype's capped default behaviour
-	// improves on standalone FIFO in both carbon and average JCT for an
-	// identical batch.
-	tr := deTrace(t)
-	jobs, err := workload.Generate(workload.GenConfig{N: 50, Mix: workload.MixTPCH, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	standalone := PaperConfig()
-	standalone.PerJobCap = 0 // standalone FIFO over-assigns freely
-	fifo, err := Run(standalone, tr, jobs, &sched.FIFO{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := Run(PaperConfig(), tr, jobs, sched.NewKubeDefault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proto.CarbonGrams >= fifo.CarbonGrams {
-		t.Fatalf("prototype carbon %v not below standalone %v", proto.CarbonGrams, fifo.CarbonGrams)
-	}
-	if proto.AvgJCT > fifo.AvgJCT*1.05 {
-		t.Fatalf("prototype JCT %v worse than standalone %v", proto.AvgJCT, fifo.AvgJCT)
 	}
 }
 

@@ -5,14 +5,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("ablation", "design-choice ablations (DESIGN.md)", ablationReport)
-	order = append(order, "ablation")
-}
 
 // ablationReport runs the DESIGN.md ablation suite: threshold shape,
 // importance signal, parallelism scaling, forecast error, and the
@@ -27,26 +23,25 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	if opt.Fast {
 		n = 25
 	}
-	seed := e.opt.Seed
-	jobs := batch(n, 30, workload.MixTPCH, seed)
-	tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed(e.opt.Seed, "DE", int64(n)))
-	cfg := scenario.PaperSimConfig(false, tr, seed)
+	runSeed := e.opt.Seed
+	jobs := batch(n, 30, workload.MixTPCH, runSeed)
+	tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed.Derive(runSeed, "DE", int64(n)))
+	cfg := scenario.PaperSimConfig(false, tr, runSeed)
 	gamma := 0.6
-	mk := func() sched.Probabilistic { return sched.NewDecima(seed) }
+	mk := func() sched.Probabilistic { return sched.NewDecima(runSeed) }
 	variants := []sim.Scheduler{
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Shape: ablation.ShapeLinear, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Shape: ablation.ShapeStep, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, UniformImportance: true, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, DisableParallelismScaling: true, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, BoundsError: 0.05, Seed: seed},
-		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, BoundsError: 0.15, Seed: seed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Shape: ablation.ShapeLinear, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, Shape: ablation.ShapeStep, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, UniformImportance: true, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, DisableParallelismScaling: true, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, BoundsError: 0.05, Seed: runSeed},
+		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, BoundsError: 0.15, Seed: runSeed},
 		&ablation.SuspendResume{Inner: mk(), Theta: 0.5},
 	}
-	// Every entry is an independent simulation; hand Compare the pool's
-	// fan-out so the suite spreads across the worker budget.
-	outs, err := ablation.CompareWith(cfg, jobs, sched.NewDecima(seed), variants,
-		func(n int, fn func(i int)) { forEach(e.opt.pool, n, fn) })
+	// Every entry is an independent simulation; Compare fans them out
+	// over the run's pool, so the suite spreads across the worker budget.
+	outs, err := ablation.Compare(cfg, jobs, sched.NewDecima(runSeed), variants, e.opt.pool)
 	if err != nil {
 		return nil, err
 	}

@@ -10,17 +10,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("fig16", "job-count sweep, simulator (Fig 16 / A.2.1)", fig16)
-	register("fig17", "job-count sweep, prototype (Fig 17 / A.2.1)", fig17)
-	register("fig18", "interarrival sweep, simulator (Fig 18 / A.2.2)", fig18)
-	register("fig19", "interarrival sweep, prototype (Fig 19 / A.2.2)", fig19)
-	registerSerial("fig20", "scheduler invocation latency vs queue length (Fig 20 / A.2.3)", fig20)
-}
 
 // jobCountSettings are the Appendix A.2.1 batch sizes.
 var jobCountSettings = []float64{12, 25, 50, 100, 200}
@@ -66,14 +59,14 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		}
 	}
 	runs := make([]map[string]*sim.Result, len(cells))
-	forEach(opt.pool, len(cells), func(i int) {
+	opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, "DE", int64(math.Float64bits(c.setting)), int64(c.trial))
-		njobs, inter := build(c.setting, seed)
-		jobs := batch(njobs, inter, mix, seed)
+		cellSeed := seed.Derive(e.opt.Seed, "DE", int64(math.Float64bits(c.setting)), int64(c.trial))
+		njobs, inter := build(c.setting, cellSeed)
+		jobs := batch(njobs, inter, mix, cellSeed)
 		window := 60 + njobs*int(inter+29)/30/1 // rough sizing; Slice clamps
-		tr := scenario.TrialWindow(e.traces["DE"], window, seed)
-		cfg := scenario.PaperSimConfig(proto, tr, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], window, cellSeed)
+		cfg := scenario.PaperSimConfig(proto, tr, cellSeed)
 		baseSched := sim.Scheduler(&sched.FIFO{})
 		capInner := func() sim.Scheduler { return &sched.FIFO{} }
 		if proto {
@@ -84,7 +77,7 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		// wrapper with its inner policy, PCAPS with its Decima base.
 		g := mustRunGroup(cfg, jobs, baseSched, sched.NewCAP(capInner(), 20))
 		p := mustRunGroup(cfg, jobs,
-			sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
+			sched.NewDecima(cellSeed), sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed))
 		runs[i] = map[string]*sim.Result{
 			"": g[0], "CAP": g[1],
 			"Decima": p[0], "PCAPS": p[1],

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -44,12 +43,13 @@ type Options struct {
 	// shared across nested fan-outs (RunAll's artifact level and each
 	// runner's cell level draw from one pool), so it caps the whole run.
 	// Every cell seeds its randomness from its own identity (see
-	// cellSeed), so reports are byte-identical across Parallel settings.
+	// seed.Derive), so reports are byte-identical across Parallel
+	// settings.
 	Parallel int
 
 	// pool is the shared worker budget, created once per Run/RunAll
 	// entry and threaded through scoped() copies.
-	pool *pool
+	pool scenario.Pool
 }
 
 // scoped returns a copy of o restricted to the given grids, preserving
@@ -127,8 +127,8 @@ func (o Options) withDefaults() Options {
 type Report struct {
 	// ID is the artifact identifier ("table2", "fig13", ...).
 	ID string
-	// Title describes the artifact (registry metadata; also stamped on
-	// the artifact itself).
+	// Title describes the artifact (from the artifact table; also
+	// stamped on the artifact itself).
 	Title string
 	// Artifact is the typed result: structured tables, series, and
 	// notes that every renderer consumes.
@@ -145,84 +145,85 @@ func (r *Report) Render() string {
 	return string(out)
 }
 
-// Runner produces one artifact's blocks; the registry stamps identity.
+// Runner produces one artifact's blocks; Run stamps its identity.
 type Runner func(Options) (*result.Artifact, error)
 
-// Info is one registry entry's metadata.
+// Info is one artifact's metadata.
 type Info struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
 }
 
-// entry pairs a runner with its title so artifact metadata exists
-// without running anything (pcapsim -list, the /v1/experiments index).
-type entry struct {
-	title string
-	run   Runner
+// artifact is one row of the artifact table. The title exists without
+// running anything (pcapsim -list, the /v1/experiments index); alone
+// marks a runner whose wall-clock measurements sibling runners would
+// corrupt, so RunAll runs it after the concurrent fan-out drains.
+type artifact struct {
+	id, title string
+	run       Runner
+	alone     bool
 }
 
-// registry maps artifact IDs to runners, populated by init() in each file.
-var registry = map[string]entry{}
-
-var order = []string{
-	"table1", "table2", "table3",
-	"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"fig18", "fig19", "fig20",
+// artifacts is the artifact table, in paper order. IDs, List, Run and
+// RunAll all read it.
+var artifacts = []artifact{
+	{id: "table1", title: "carbon intensity trace characteristics", run: table1},
+	{id: "table2", title: "prototype results summary (§6.3)", run: table2},
+	{id: "table3", title: "simulator results summary (§6.4)", run: table3},
+	{id: "fig1", title: "motivating example: four policies on one DAG (§1, Fig 1)", run: fig1},
+	{id: "fig5", title: "48-hour carbon intensity snapshots (Fig 5)", run: fig5},
+	{id: "fig6", title: "executor occupancy timelines, 5 executors / 20 jobs / DE (Fig 6)", run: fig6},
+	{id: "fig7", title: "prototype PCAPS trade-off vs γ (Fig 7)", run: fig7},
+	{id: "fig8", title: "prototype CAP trade-off vs B (Fig 8)", run: fig8},
+	{id: "fig9", title: "per-job carbon vs JCT scatter, prototype (Fig 9)", run: fig9},
+	{id: "fig10", title: "prototype carbon reduction and ECT per grid (Fig 10)", run: fig10},
+	{id: "fig11", title: "simulator PCAPS trade-off vs γ (Fig 11)", run: fig11},
+	{id: "fig12", title: "simulator CAP-FIFO trade-off vs B (Fig 12)", run: fig12},
+	{id: "fig13", title: "PCAPS vs CAP-Decima trade-off frontier (Fig 13)", run: fig13},
+	{id: "fig14", title: "simulator carbon reduction and ECT per grid (Fig 14)", run: fig14},
+	{id: "fig15", title: "standalone FIFO vs prototype default, identical batch (Fig 15 / A.1.2)", run: fig15},
+	{id: "fig16", title: "job-count sweep, simulator (Fig 16 / A.2.1)", run: fig16},
+	{id: "fig17", title: "job-count sweep, prototype (Fig 17 / A.2.1)", run: fig17},
+	{id: "fig18", title: "interarrival sweep, simulator (Fig 18 / A.2.2)", run: fig18},
+	{id: "fig19", title: "interarrival sweep, prototype (Fig 19 / A.2.2)", run: fig19},
+	{id: "fig20", title: "scheduler invocation latency vs queue length (Fig 20 / A.2.3)", run: fig20, alone: true},
+	{id: "ablation", title: "design-choice ablations (DESIGN.md)", run: ablationReport},
+	{id: "federation", title: "multi-grid federation: routing policies vs single-grid baselines", run: federationTable},
+	{id: "hyperscale", title: "streaming engine at scale: jobs × executors × policies, memory-bounded", run: runHyperscale},
+	{id: "overload", title: "open-loop overload: arrival shapes × policies (backlog, tail JCT)", run: runOverload},
 }
 
-func register(id, title string, r Runner) { registry[id] = entry{title: title, run: r} }
-
-// serialOnly marks artifacts whose measurements sibling runners would
-// corrupt (wall-clock timing); RunAll executes them alone after the
-// concurrent fan-out drains.
-var serialOnly = map[string]bool{}
-
-// registerSerial registers a runner that must not share the machine with
-// other artifacts while it runs.
-func registerSerial(id, title string, r Runner) {
-	register(id, title, r)
-	serialOnly[id] = true
+// lookup returns the table row of one artifact ID.
+func lookup(id string) (artifact, bool) {
+	for _, a := range artifacts {
+		if a.id == id {
+			return a, true
+		}
+	}
+	return artifact{}, false
 }
 
 // IDs lists the available artifact IDs in paper order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for _, id := range order {
-		if _, ok := registry[id]; ok {
-			out = append(out, id)
-		}
+	out := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		out[i] = a.id
 	}
-	var extra []string
-	for id := range registry {
-		found := false
-		for _, o := range order {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	return out
 }
 
 // List returns every artifact's metadata in paper order.
 func List() []Info {
-	ids := IDs()
-	out := make([]Info, len(ids))
-	for i, id := range ids {
-		out[i] = Info{ID: id, Title: registry[id].title}
+	out := make([]Info, len(artifacts))
+	for i, a := range artifacts {
+		out[i] = Info{ID: a.id, Title: a.title}
 	}
 	return out
 }
 
 // Run executes one artifact's runner.
 func Run(id string, opt Options) (*Report, error) {
-	e, ok := registry[id]
+	a, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown artifact %q (have %v)", id, IDs())
 	}
@@ -230,22 +231,22 @@ func Run(id string, opt Options) (*Report, error) {
 		return nil, err
 	}
 	if opt.pool == nil {
-		opt.pool = newPool(opt.Parallel)
+		opt.pool = scenario.NewPool(opt.Parallel)
 	}
-	art, err := e.run(opt)
+	art, err := a.run(opt)
 	if err != nil {
 		return nil, err
 	}
-	art.ID, art.Title = id, e.title
-	return &Report{ID: id, Title: e.title, Artifact: art}, nil
+	art.ID, art.Title = id, a.title
+	return &Report{ID: id, Title: a.title, Artifact: art}, nil
 }
 
 // RunAll executes the named artifacts, fanning the runners themselves out
 // over the worker pool, and returns the reports in the requested order.
 // Runners additionally parallelize their own (grid, size, trial) cells,
 // so `-exp all` keeps every core busy even in fast mode, where most
-// runners collapse to a handful of cells. Artifacts registered as
-// serial-only (timing measurements) run alone after the fan-out drains.
+// runners collapse to a handful of cells. Artifacts marked alone
+// (timing measurements) run after the fan-out drains.
 //
 // On failure the first error in request order is returned together with
 // the reports slice, whose entries are non-nil for every artifact that
@@ -255,13 +256,13 @@ func Run(id string, opt Options) (*Report, error) {
 // run's output.
 func RunAll(ids []string, opt Options) ([]*Report, error) {
 	if opt.pool == nil {
-		opt.pool = newPool(opt.Parallel)
+		opt.pool = scenario.NewPool(opt.Parallel)
 	}
 	reports := make([]*Report, len(ids))
 	errs := make([]error, len(ids))
 	var concurrent, alone []int
 	for i, id := range ids {
-		if serialOnly[id] {
+		if a, _ := lookup(id); a.alone {
 			alone = append(alone, i)
 		} else {
 			concurrent = append(concurrent, i)
@@ -280,7 +281,7 @@ func RunAll(ids []string, opt Options) ([]*Report, error) {
 			failed.Store(true)
 		}
 	}
-	forEach(opt.pool, len(concurrent), func(k int) { run(concurrent[k]) })
+	opt.pool.ForEach(len(concurrent), func(k int) { run(concurrent[k]) })
 	for _, i := range alone {
 		run(i)
 	}
@@ -350,15 +351,6 @@ func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds ...sim.Scheduler) []*s
 	return res
 }
 
-// scenarioPool adapts the experiment engine's shared-budget worker pool
-// to the scenario layer's Pool interface, so a built-in artifact
-// declared as a scenario spec draws its cell workers from the same
-// process-wide budget as every other runner.
-type scenarioPool struct{ p *pool }
-
-// ForEach implements scenario.Pool.
-func (a scenarioPool) ForEach(n int, fn func(i int)) { forEach(a.p, n, fn) }
-
 // runSpec compiles and executes a scenario spec under the run's
 // options. The sweeps, per-grid, and federation runner families declare
 // their experiments as specs and execute through this one path — the
@@ -370,5 +362,5 @@ func runSpec(opt Options, spec scenario.Spec) (*result.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prog.Run(scenario.Env{Pool: scenarioPool{opt.pool}, Fast: opt.Fast})
+	return prog.Run(scenario.Env{Pool: opt.pool, Fast: opt.Fast})
 }

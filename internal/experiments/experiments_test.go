@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/scenario"
@@ -194,72 +190,6 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	}
 }
 
-func TestForEachCoversAllCellsOnce(t *testing.T) {
-	for _, parallel := range []int{1, 3, 16} {
-		const n = 100
-		counts := make([]int32, n)
-		var mu sync.Mutex
-		forEach(newPool(parallel), n, func(i int) { mu.Lock(); counts[i]++; mu.Unlock() })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("parallel=%d: cell %d ran %d times", parallel, i, c)
-			}
-		}
-	}
-	forEach(newPool(4), 0, func(int) { t.Fatal("fn called for n=0") })
-	// A nil pool degenerates to a serial loop.
-	ran := 0
-	forEach(nil, 3, func(int) { ran++ })
-	if ran != 3 {
-		t.Fatalf("nil pool ran %d of 3 cells", ran)
-	}
-}
-
-// TestForEachSharedBudget pins the Options.Parallel contract: nested
-// fan-outs draw extra workers from one pool, so total concurrency stays
-// within the requested bound instead of multiplying per level.
-func TestForEachSharedBudget(t *testing.T) {
-	p := newPool(3)
-	var cur, peak atomic.Int64
-	var inner func(depth int)
-	inner = func(depth int) {
-		forEach(p, 4, func(int) {
-			if depth > 0 {
-				inner(depth - 1)
-				return
-			}
-			// Only leaf cells count: an ancestor frame is blocked in the
-			// recursive call, so each goroutine contributes at most one.
-			c := cur.Add(1)
-			for {
-				old := peak.Load()
-				if c <= old || peak.CompareAndSwap(old, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-	}
-	inner(2)
-	if got := peak.Load(); got > 3 {
-		t.Fatalf("peak concurrency %d exceeds the requested bound of 3", got)
-	}
-}
-
-func TestForEachPropagatesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-	}()
-	forEach(newPool(4), 8, func(i int) {
-		if i == 3 {
-			panic("boom")
-		}
-	})
-}
-
 func TestRunRejectsUnknownGrid(t *testing.T) {
 	_, err := Run("table2", Options{Fast: true, Seed: 42, Grids: []string{"BOGUS"}})
 	if err == nil || !strings.Contains(err.Error(), `unknown grid "BOGUS"`) {
@@ -284,7 +214,7 @@ func TestRunRejectsDuplicateGrids(t *testing.T) {
 	}
 }
 
-// TestListCarriesTitles: registry metadata exists without running
+// TestListCarriesTitles: artifact metadata exists without running
 // anything (pcapsim -list and /v1/experiments depend on it).
 func TestListCarriesTitles(t *testing.T) {
 	infos := List()
@@ -302,27 +232,5 @@ func TestListCarriesTitles(t *testing.T) {
 	}
 	if infos[1].Title != "prototype results summary (§6.3)" {
 		t.Fatalf("table2 title = %q", infos[1].Title)
-	}
-}
-
-func TestCellSeedDistinguishesCoordinates(t *testing.T) {
-	seen := map[int64]string{}
-	for _, grid := range []string{"DE", "CAISO"} {
-		for size := int64(0); size < 4; size++ {
-			for trial := int64(0); trial < 4; trial++ {
-				s := cellSeed(42, grid, size, trial)
-				if s < 0 {
-					t.Fatalf("negative seed %d", s)
-				}
-				key := fmt.Sprintf("%s/%d/%d", grid, size, trial)
-				if prev, dup := seen[s]; dup {
-					t.Fatalf("seed collision: %s and %s both map to %d", prev, key, s)
-				}
-				seen[s] = key
-			}
-		}
-	}
-	if cellSeed(1, "DE", 2) == cellSeed(2, "DE", 1) {
-		t.Fatal("base seed and coordinate are interchangeable")
 	}
 }

@@ -6,10 +6,6 @@ import (
 	"pcaps/internal/sched"
 )
 
-func init() {
-	register("federation", "multi-grid federation: routing policies vs single-grid baselines", federationTable)
-}
-
 // fedTopologies resolves the multi-grid topology list: an explicit
 // -grids subset becomes the single topology (a lone grid degenerates to
 // a one-cluster federation where every router agrees — the restriction

@@ -11,8 +11,6 @@ import (
 	"pcaps/internal/result"
 )
 
-func init() { register("fig1", "motivating example: four policies on one DAG (§1, Fig 1)", fig1) }
-
 // motivatingJob is the Fig. 1 example: a fork-join DAG whose long
 // green→purple chain must be prioritized to finish early. The short side
 // branches carry lower stage IDs, so the FIFO baseline runs them first
@@ -195,7 +193,7 @@ func fig1(opt Options) (*result.Artifact, error) {
 	}
 	scheds := make([]*optimal.Schedule, len(solvers))
 	errs := make([]error, len(solvers))
-	forEach(opt.pool, len(solvers), func(i int) {
+	opt.pool.ForEach(len(solvers), func(i int) {
 		local := inst
 		local.Job = inst.Job.Clone()
 		scheds[i], errs[i] = solvers[i](local)

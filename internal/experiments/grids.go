@@ -7,11 +7,6 @@ import (
 	"pcaps/internal/workload"
 )
 
-func init() {
-	register("fig10", "prototype carbon reduction and ECT per grid (Fig 10)", fig10)
-	register("fig14", "simulator carbon reduction and ECT per grid (Fig 14)", fig14)
-}
-
 // The per-grid comparisons are declared as scenario specs and compiled
 // through internal/scenario's comparison family: for each grid, trials
 // of the carbon-aware policy set vs a baseline across the 25/50/100-job

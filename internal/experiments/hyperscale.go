@@ -7,13 +7,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("hyperscale", "streaming engine at scale: jobs × executors × policies, memory-bounded", runHyperscale)
-}
 
 // hyperscaleMeanWork is the mean TPC-H job work in executor-seconds
 // (uniform over the three paper scales), used to capacity-match the
@@ -91,20 +88,20 @@ func runHyperscale(opt Options) (*result.Artifact, error) {
 		events int
 	}
 	runs := make([]runOut, len(cells)*len(policyNames))
-	forEach(e.opt.pool, len(runs), func(i int) {
+	e.opt.pool.ForEach(len(runs), func(i int) {
 		ci, pi := i/len(policyNames), i%len(policyNames)
 		cell := cells[ci]
-		seed := cellSeed(e.opt.Seed, "DE", int64(cell.jobs), int64(cell.execs))
+		cellSeed := seed.Derive(e.opt.Seed, "DE", int64(cell.jobs), int64(cell.execs))
 		rps := hyperscaleRho * float64(cell.execs) / hyperscaleMeanWork
 		// Window the trace to the expected span; past its end the
 		// intensity holds at the final sample (carbon.Trace.At clamps).
 		windowHours := int(float64(cell.jobs)/rps/60) + 200
-		tr := scenario.TrialWindow(e.traces["DE"], windowHours, seed)
+		tr := scenario.TrialWindow(e.traces["DE"], windowHours, cellSeed)
 		cfg := sim.Config{
 			NumExecutors: cell.execs,
 			Trace:        tr,
 			MoveDelay:    1,
-			Seed:         seed,
+			Seed:         cellSeed,
 			// ~tens of events per job across a million jobs: give the
 			// livelock guard room well past the default 20M.
 			MaxEvents: 2_000_000_000,
@@ -117,12 +114,12 @@ func runHyperscale(opt Options) (*result.Artifact, error) {
 			N:        cell.jobs,
 			Arrivals: proc,
 			Mix:      workload.MixTPCH,
-			Seed:     seed,
+			Seed:     cellSeed,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: hyperscale: %v", err))
 		}
-		res, err := sim.RunStream(cfg, src, newSched(pi, cell.execs, seed))
+		res, err := sim.RunStream(cfg, src, newSched(pi, cell.execs, cellSeed))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: hyperscale: %v", err))
 		}

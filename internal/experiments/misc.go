@@ -9,16 +9,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("fig5", "48-hour carbon intensity snapshots (Fig 5)", fig5)
-	register("fig6", "executor occupancy timelines, 5 executors / 20 jobs / DE (Fig 6)", fig6)
-	register("fig9", "per-job carbon vs JCT scatter, prototype (Fig 9)", fig9)
-	register("fig15", "standalone FIFO vs prototype default, identical batch (Fig 15 / A.1.2)", fig15)
-}
 
 // fig5 renders 48-hour snapshots of the six grids (Fig. 5): one series
 // per grid carrying every hourly sample, with the text form showing
@@ -119,7 +113,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 		{"CAP-FIFO", sched.NewCAP(&sched.FIFO{}, 1)},
 	}
 	results := make([]*sim.Result, len(policies))
-	forEach(e.opt.pool, len(policies), func(i int) {
+	e.opt.pool.ForEach(len(policies), func(i int) {
 		results[i] = mustRun(cfg, jobs, policies[i].s)
 	})
 	t := &result.Table{
@@ -183,12 +177,12 @@ func fig9(opt Options) (*result.Artifact, error) {
 	}
 	type scatterRuns struct{ base, pc, cp *sim.Result }
 	runs := make([]scatterRuns, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, c.grid, int64(c.trial))
-		jobs := batch(n, 30, workload.MixBoth, seed)
-		tr := scenario.TrialWindow(e.traces[c.grid], 60+n, seed)
-		cfg := scenario.PaperSimConfig(true, tr, seed)
+		cellSeed := seed.Derive(e.opt.Seed, c.grid, int64(c.trial))
+		jobs := batch(n, 30, workload.MixBoth, cellSeed)
+		tr := scenario.TrialWindow(e.traces[c.grid], 60+n, cellSeed)
+		cfg := scenario.PaperSimConfig(true, tr, cellSeed)
 		// The baseline and CAP share a decision prefix (identical while
 		// the quota stays at K); PCAPS runs alone — its Decima base isn't
 		// in this cell.
@@ -197,7 +191,7 @@ func fig9(opt Options) (*result.Artifact, error) {
 		runs[i] = scatterRuns{
 			base: g[0],
 			cp:   g[1],
-			pc:   mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)),
+			pc:   mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed)),
 		}
 	})
 	var pcapsPts, capPts []metrics.Point
@@ -302,7 +296,7 @@ func fig15(opt Options) (*result.Artifact, error) {
 	// The simulator and prototype runs are independent; run the pair
 	// concurrently.
 	pair := make([]*sim.Result, 2)
-	forEach(e.opt.pool, 2, func(i int) {
+	e.opt.pool.ForEach(2, func(i int) {
 		if i == 0 {
 			pair[0] = mustRun(scenario.PaperSimConfig(false, tr, seed), jobs, &sched.FIFO{})
 		} else {

@@ -8,13 +8,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("overload", "open-loop overload: arrival shapes × policies (backlog, tail JCT)", runOverload)
-}
 
 // overloadShapes is the arrival-shape axis: the paper's Poisson batch
 // plus the open-loop shapes that stress the cluster — a matched-rate
@@ -103,11 +100,11 @@ func runOverload(opt Options) (*result.Artifact, error) {
 		carbon []float64
 	}
 	runs := make([]cellOut, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, "DE", int64(c.shape), int64(c.trial))
+		cellSeed := seed.Derive(e.opt.Seed, "DE", int64(c.shape), int64(c.trial))
 		jobs, err := workload.Generate(workload.GenConfig{
-			N: n, Arrivals: procs[c.shape], Mix: workload.MixBoth, Seed: seed,
+			N: n, Arrivals: procs[c.shape], Mix: workload.MixBoth, Seed: cellSeed,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: overload: %v", err))
@@ -118,9 +115,9 @@ func runOverload(opt Options) (*result.Artifact, error) {
 			arr[k] = j.Arrival
 			cps[k] = j.CriticalPathLength()
 		}
-		tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed)
-		cfg := scenario.PaperSimConfig(false, tr, seed)
-		group := mustRunGroup(cfg, jobs, newScheds(seed)...)
+		tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed)
+		cfg := scenario.PaperSimConfig(false, tr, cellSeed)
+		group := mustRunGroup(cfg, jobs, newScheds(cellSeed)...)
 		out := cellOut{
 			open:   make([]metrics.OpenLoop, len(group)),
 			carbon: make([]float64, len(group)),

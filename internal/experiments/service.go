@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"pcaps/internal/carbonapi"
 	"pcaps/internal/result"
 )
 
-// Service implements carbonapi.Experiments: the artifact registry served
+// Service implements carbonapi.Experiments: the artifact table served
 // over HTTP, with on-demand execution. Every run is forced into Fast
 // mode so a request costs seconds, not a full paper sweep — the /v1
 // surface is a smoke-and-inspection endpoint, not a batch farm; the full
@@ -25,7 +26,7 @@ import (
 // simulation, and repeat fetches are free. Cached artifacts are
 // immutable after Run returns, so handing the same pointer to concurrent
 // encoders is safe. Concurrent requests for *distinct* artifacts still
-// run independently (bounded by the registry's size).
+// run independently (bounded by the table's size).
 type Service struct {
 	// Options is the template each request starts from (seed, grids,
 	// parallelism). Fast is forced; the zero value serves the standard
@@ -72,6 +73,15 @@ func (s *Service) Run(ctx context.Context, id string) (*result.Artifact, error) 
 	}
 	s.mu.Unlock()
 	r.once.Do(func() {
+		// A panicking runner would otherwise leave the once-guard done
+		// with nothing cached: this request's connection would drop and
+		// every later one would get an empty 200. As an error it is
+		// cached like any other failure, so every request answers 500.
+		defer func() {
+			if p := recover(); p != nil {
+				r.err = fmt.Errorf("experiments: %s panicked: %v", id, p)
+			}
+		}()
 		opt := s.Options
 		opt.Fast = true
 		rep, err := Run(id, opt)

@@ -107,6 +107,25 @@ func TestServiceConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestServiceRunnerPanic: a runner that panics is a failed run, not a
+// dropped connection followed by cached empty successes. Every request
+// for it answers the handler's 500, naming the artifact.
+func TestServiceRunnerPanic(t *testing.T) {
+	saved := artifacts
+	artifacts = append(artifacts[:len(artifacts):len(artifacts)], artifact{
+		id: "panicky", title: "a runner that panics",
+		run: func(Options) (*result.Artifact, error) { panic("runner exploded") },
+	})
+	t.Cleanup(func() { artifacts = saved })
+	client := serviceServer(t)
+	for i := 0; i < 2; i++ {
+		_, err := client.Experiment(context.Background(), "panicky")
+		if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), `running "panicky"`) {
+			t.Fatalf("request %d: want a 500 naming the artifact, got %v", i, err)
+		}
+	}
+}
+
 // TestServiceCachesRuns: a run is a pure function of (id, Options), so
 // repeat requests must return the same cached artifact instead of
 // re-simulating.

@@ -5,17 +5,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("fig7", "prototype PCAPS trade-off vs γ (Fig 7)", fig7)
-	register("fig8", "prototype CAP trade-off vs B (Fig 8)", fig8)
-	register("fig11", "simulator PCAPS trade-off vs γ (Fig 11)", fig11)
-	register("fig12", "simulator CAP-FIFO trade-off vs B (Fig 12)", fig12)
-	register("fig13", "PCAPS vs CAP-Decima trade-off frontier (Fig 13)", fig13)
-}
 
 // The four parameter sweeps are declared as scenario specs and compiled
 // through internal/scenario — the same layer `pcapsim -scenario` runs
@@ -127,18 +120,18 @@ func fig13(opt Options) (*result.Artifact, error) {
 	bases := make([]*sim.Result, trials)
 	perTrial := len(gammas) + len(bs)
 	runs := make([]*sim.Result, trials*perTrial)
-	forEach(opt.pool, trials, func(t int) {
-		seed := cellSeed(opt.Seed, "DE", int64(t))
-		jobs := batch(n, 30, workload.MixTPCH, seed)
-		tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed)
-		cfg := scenario.PaperSimConfig(false, tr, seed)
+	opt.pool.ForEach(trials, func(t int) {
+		cellSeed := seed.Derive(opt.Seed, "DE", int64(t))
+		jobs := batch(n, 30, workload.MixTPCH, cellSeed)
+		tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed)
+		cfg := scenario.PaperSimConfig(false, tr, cellSeed)
 		scheds := make([]sim.Scheduler, 0, perTrial+1)
-		scheds = append(scheds, sched.NewDecima(seed))
+		scheds = append(scheds, sched.NewDecima(cellSeed))
 		for _, g := range gammas {
-			scheds = append(scheds, sched.NewPCAPS(sched.NewDecima(seed), g, seed))
+			scheds = append(scheds, sched.NewPCAPS(sched.NewDecima(cellSeed), g, cellSeed))
 		}
 		for _, b := range bs {
-			scheds = append(scheds, sched.NewCAP(sched.NewDecima(seed), b))
+			scheds = append(scheds, sched.NewCAP(sched.NewDecima(cellSeed), b))
 		}
 		group := mustRunGroup(cfg, jobs, scheds...)
 		bases[t] = group[0]

@@ -5,15 +5,10 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
-
-func init() {
-	register("table1", "carbon intensity trace characteristics", table1)
-	register("table2", "prototype results summary (§6.3)", table2)
-	register("table3", "simulator results summary (§6.4)", table3)
-}
 
 // paperTable1 holds the published Table 1 values for side-by-side
 // rendering: min, max, mean, coefficient of variation.
@@ -130,9 +125,9 @@ func tableMatrix(e *env, sizes []int, trials int, names []string,
 	run func(c matrixCell, seed int64) map[string]*sim.Result) map[string]*normTriple {
 	cells := matrixCells(e.opt.Grids, sizes, trials)
 	runs := make([]map[string]*sim.Result, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		runs[i] = run(c, cellSeed(e.opt.Seed, c.grid, int64(c.size), int64(c.trial)))
+		runs[i] = run(c, seed.Derive(e.opt.Seed, c.grid, int64(c.size), int64(c.trial)))
 	})
 	aggs := map[string]*normTriple{}
 	for _, n := range names {

@@ -24,18 +24,8 @@ import (
 	"pcaps/internal/sim"
 )
 
-// Service implements carbonapi.Placements.
-type Service struct {
-	// Registry overrides the policy table; nil selects sched.Default().
-	Registry *sched.Registry
-}
-
-func (s *Service) registry() *sched.Registry {
-	if s.Registry != nil {
-		return s.Registry
-	}
-	return sched.Default()
-}
+// Service implements carbonapi.Placements over sched.Default().
+type Service struct{}
 
 // invalid marks a rejection the HTTP handler maps to a 400.
 func invalid(format string, args ...any) error {
@@ -48,7 +38,6 @@ func invalid(format string, args ...any) error {
 // the request seed; Place never mutates the restored scheduling state,
 // so batch entries see identical cluster state.
 func (s *Service) Place(ctx context.Context, req *carbonapi.PlacementRequest) ([]sim.Placement, error) {
-	reg := s.registry()
 	type named struct {
 		field string
 		spec  sched.Spec
@@ -66,7 +55,7 @@ func (s *Service) Place(ctx context.Context, req *carbonapi.PlacementRequest) ([
 	}
 	factories := make([]sched.Factory, len(specs))
 	for i, n := range specs {
-		f, err := reg.New(n.spec)
+		f, err := sched.Default().New(n.spec)
 		if err != nil {
 			var pe *sched.ParamError
 			if errors.As(err, &pe) {

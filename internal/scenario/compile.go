@@ -40,50 +40,16 @@ type Program struct {
 	spec Spec
 }
 
-// Compile validates a spec and lowers it into a runnable program.
+// Compile validates a spec into a runnable program. Validate checks
+// every policy through the registry Run builds schedulers from, and
+// every router kind, so Run never meets a policy or router it cannot
+// build.
 func Compile(s Spec) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	// Compile every policy and router now so a bad spec fails before
-	// any simulation starts; Run recompiles cheaply.
-	if s.Baseline != nil {
-		if _, err := compilePolicy(*s.Baseline); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range s.Policies {
-		if _, err := compilePolicy(p); err != nil {
-			return nil, err
-		}
-	}
-	if s.Sweep != nil {
-		if _, err := compilePolicy(s.Sweep.Policy); err != nil {
-			return nil, err
-		}
-	}
-	if f := s.Federation; f != nil {
-		for _, r := range f.Routers {
-			if _, err := compileRouter(r); err != nil {
-				return nil, err
-			}
-			if r.Policy != nil {
-				if _, err := compilePolicy(*r.Policy); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if f.Member != nil {
-			if _, err := compilePolicy(*f.Member); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return &Program{spec: s}, nil
 }
-
-// Spec returns the program's (validated) spec.
-func (p *Program) Spec() Spec { return p.spec }
 
 // simError carries a mid-cell simulation failure across the worker
 // pool's panic path back to Run, which converts it to an error.

@@ -13,19 +13,20 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
-	"pcaps/internal/cluster"
 	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 )
 
-// Pool bounds the worker goroutines a compiled scenario fans its cells
-// out over. ForEach must run fn(i) exactly once for every i in [0, n)
-// and return only when all calls finish; implementations may run them
-// in any order and with any concurrency, because every cell derives its
-// randomness from its own identity (seed.Derive), never from execution
-// order. internal/experiments adapts its shared-budget pool to this
-// interface so built-in artifacts and nested scenario cells draw from
-// one process-wide worker budget.
+// Pool bounds the worker goroutines that simulation cells fan out over.
+// ForEach must run fn(i) exactly once for every i in [0, n) and return
+// only when all calls finish; implementations may run them in any order
+// and with any concurrency, because every cell derives its randomness
+// from its own identity (seed.Derive), never from execution order. It
+// is the one worker pool of the repository: internal/experiments
+// creates one per Run/RunAll (NewPool) and hands it, unwrapped, to its
+// runners, to ablation.Compare and to the scenario programs its
+// built-in artifacts compile, so nested fan-outs draw from one
+// process-wide worker budget.
 type Pool interface {
 	ForEach(n int, fn func(i int))
 }
@@ -39,11 +40,13 @@ func (serialPool) ForEach(n int, fn func(i int)) {
 	}
 }
 
-// tokenPool is a standalone worker pool with the same contract as the
-// experiment engine's: the caller always works, extras are spawned only
-// while permits are free (non-blocking, so nested fan-outs degrade to
-// serial instead of deadlocking), and a worker panic stops dispatch and
-// re-raises in the caller.
+// tokenPool is NewPool's shared-budget implementation: the caller always
+// works through cells itself, extras are spawned only while permits are
+// free (non-blocking, so nested fan-outs degrade to serial instead of
+// deadlocking, and the bound caps the whole run rather than each
+// level), and a worker panic stops further dispatch and re-raises in
+// the caller once in-flight workers drain, so a fail-fast panic crosses
+// goroutines without minutes of wasted simulation behind it.
 type tokenPool struct {
 	tokens chan struct{}
 }
@@ -122,11 +125,11 @@ type TraceProvider interface {
 // Sources is the default TraceProvider: calibrated synthesis through
 // SynthTrace's process-wide cache (the one the hand-written experiment
 // runners read too), CSV files, and live carbonapi fetches.
-type Sources struct {
-	// FetchTimeout bounds one carbonapi fetch (0: 30 s — a full
-	// three-year trace is ~26k samples).
-	FetchTimeout time.Duration
-}
+type Sources struct{}
+
+// fetchTimeout bounds one carbonapi trace fetch: a full three-year
+// trace is ~26k samples.
+const fetchTimeout = 30 * time.Second
 
 type synthKey struct {
 	grid  string
@@ -194,17 +197,13 @@ func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace
 		defer f.Close()
 		return carbon.ReadCSV(f, c.Grid, 60)
 	case "carbonapi":
-		timeout := s.FetchTimeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 		defer cancel()
 		client := carbonapi.NewClient(c.URL)
 		// Relax the client's default 5-second poll timeout: a full
 		// three-year trace window legitimately takes longer. The context
 		// deadline above still bounds the call.
-		client.HTTPClient = &http.Client{Timeout: timeout}
+		client.HTTPClient = &http.Client{Timeout: fetchTimeout}
 		tr, err := client.FetchTrace(ctx, c.Grid, 0, hours)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: carbon source for %q: %w", c.Grid, err)
@@ -234,15 +233,28 @@ func TrialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trac
 }
 
 // PaperSimConfig returns the engine configuration of one of the paper's
-// two cluster environments, with the given trace and seed: the
-// Spark-standalone simulator (§5.2: 100 shared executors that
-// applications retain under dynamic allocation), or with proto the
-// Kubernetes prototype (§6.3, cluster.PaperConfig).
+// two cluster environments, with the given trace and seed. It is the
+// only definition of either.
+//
+// The Spark-standalone simulator (§5.2) has 100 shared executors that
+// applications retain under dynamic allocation until a 60-second idle
+// timeout, with a one-second cross-job move delay.
+//
+// With proto, the Kubernetes prototype (§6.3) has 50 worker VMs hosting
+// two executor pods each. Pod startup (3 s) is the cross-job move
+// delay, Spark caps an application at 25 executors, and idle pods
+// linger for executorIdleTimeout (60 s).
 func PaperSimConfig(proto bool, tr *carbon.Trace, seed int64) sim.Config {
 	if proto {
-		c := cluster.PaperConfig()
-		c.Seed = seed
-		return c.SimConfig(tr)
+		return sim.Config{
+			NumExecutors:  50 * 2,
+			Trace:         tr,
+			MoveDelay:     3,
+			PerJobCap:     25,
+			HoldExecutors: true,
+			IdleTimeout:   60,
+			Seed:          seed,
+		}
 	}
 	return sim.Config{
 		NumExecutors:  100,

@@ -177,19 +177,6 @@ func (r *Registry) Sweepable() []string {
 	return out
 }
 
-// Bind returns a copy of the spec with the kind's sweepable parameter
-// set to value (truncated to an integer for "b"). Specs whose kind has
-// no sweepable parameter are returned unchanged.
-func (r *Registry) Bind(s Spec, value float64) Spec {
-	switch r.SweepParam(s.Kind) {
-	case "b":
-		s.B = Int(int(value))
-	case "gamma":
-		s.Gamma = Float(value)
-	}
-	return s
-}
-
 // Check validates a spec without building anything. The returned error
 // is a *ParamError naming the offending field.
 func (r *Registry) Check(s Spec) error {

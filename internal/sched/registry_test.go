@@ -126,21 +126,6 @@ func TestRegistryDefaultsAndOverrides(t *testing.T) {
 	}
 }
 
-func TestRegistryBind(t *testing.T) {
-	r := Default()
-	b := r.Bind(Spec{Kind: "cap"}, 12.9)
-	if b.B == nil || *b.B != 12 {
-		t.Errorf("Bind(cap, 12.9).B = %v, want 12", b.B)
-	}
-	g := r.Bind(Spec{Kind: "pcaps"}, 0.25)
-	if g.Gamma == nil || *g.Gamma != 0.25 {
-		t.Errorf("Bind(pcaps, 0.25).Gamma = %v, want 0.25", g.Gamma)
-	}
-	if p := r.Bind(Spec{Kind: "fifo"}, 3); p.B != nil || p.Gamma != nil {
-		t.Errorf("Bind(fifo, 3) mutated a parameterless spec: %+v", p)
-	}
-}
-
 // TestSpecJSONRoundTrip pins the wire shape the placement API accepts:
 // pointers must encode as plain numbers and omit cleanly when nil.
 func TestSpecJSONRoundTrip(t *testing.T) {

@@ -1,6 +1,9 @@
 package seed
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestDeriveStableAndSeparated(t *testing.T) {
 	a := Derive(42, "DE", 25, 0)
@@ -25,6 +28,31 @@ func TestDeriveStableAndSeparated(t *testing.T) {
 			t.Fatalf("identities %d and %d collide on %d", i, j, s)
 		}
 		seen[s] = i
+	}
+}
+
+// TestDeriveSeparatesCellMatrix: every (grid, batch size, trial) cell of
+// an experiment matrix draws from its own non-negative stream, and the
+// base seed cannot stand in for a coordinate.
+func TestDeriveSeparatesCellMatrix(t *testing.T) {
+	seen := map[int64]string{}
+	for _, grid := range []string{"DE", "CAISO"} {
+		for size := int64(0); size < 4; size++ {
+			for trial := int64(0); trial < 4; trial++ {
+				s := Derive(42, grid, size, trial)
+				if s < 0 {
+					t.Fatalf("negative seed %d", s)
+				}
+				key := fmt.Sprintf("%s/%d/%d", grid, size, trial)
+				if prev, dup := seen[s]; dup {
+					t.Fatalf("seed collision: %s and %s both map to %d", prev, key, s)
+				}
+				seen[s] = key
+			}
+		}
+	}
+	if Derive(1, "DE", 2) == Derive(2, "DE", 1) {
+		t.Fatal("base seed and coordinate are interchangeable")
 	}
 }
 
