@@ -65,12 +65,7 @@ func main() {
 			log.Fatalf("tracegen: %v", err)
 		}
 	case *grid != "":
-		spec, err := carbon.GridByName(*grid)
-		if err != nil {
-			log.Fatalf("tracegen: %v", err)
-		}
-		tr := carbon.Synthesize(spec, *hours, 60, *seed)
-		if err := writeTrace(os.Stdout, tr, traceProvenance(*grid, *hours, *seed, *header)); err != nil {
+		if err := writeGrid(os.Stdout, *grid, *hours, *seed, *header); err != nil {
 			log.Fatalf("tracegen: %v", err)
 		}
 	case *wl != "":
@@ -133,6 +128,20 @@ func (b batchFlags) check() error {
 func workloadProvenance(b batchFlags) string {
 	return fmt.Sprintf("# generated=tracegen seed=%d mix=%s n=%d interarrival=%g",
 		b.seed, b.mix, b.n, b.interarrival)
+}
+
+// writeGrid checks -hours, then synthesizes one grid's trace and
+// serializes it. Synthesize reads a non-positive length as the paper's
+// three years, which a header recording the flag's value would misstate.
+func writeGrid(w io.Writer, grid string, hours int, seed int64, header bool) error {
+	if hours <= 0 {
+		return fmt.Errorf("-hours %d: the trace length must be a positive number of hours", hours)
+	}
+	spec, err := carbon.GridByName(grid)
+	if err != nil {
+		return err
+	}
+	return writeTrace(w, carbon.Synthesize(spec, hours, 60, seed), traceProvenance(grid, hours, seed, header))
 }
 
 // writeTrace serializes one trace, optionally preceded by a provenance

@@ -144,6 +144,21 @@ func TestWorkloadRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestTraceRejectsNonPositiveHours: -hours 0 or below fails with an
+// error naming the flag and nothing written.
+func TestTraceRejectsNonPositiveHours(t *testing.T) {
+	for _, hours := range []int{0, -5} {
+		var buf bytes.Buffer
+		err := writeGrid(&buf, "DE", hours, 42, true)
+		if err == nil || !strings.HasPrefix(err.Error(), "-hours ") {
+			t.Errorf("-hours %d: error %v, want one naming -hours", hours, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-hours %d: wrote %d bytes before failing", hours, buf.Len())
+		}
+	}
+}
+
 // TestEmitScenario: the -scenario path writes one trace CSV per
 // resolved cluster plus the workload CSV, all loadable.
 func TestEmitScenario(t *testing.T) {

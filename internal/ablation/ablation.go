@@ -23,7 +23,6 @@ import (
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
-	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 )
@@ -199,30 +198,20 @@ type Outcome struct {
 	Deferrals   int
 }
 
-// Compare runs every variant on the same batch and configuration,
-// fanning the independent simulations out over pool (sim.Run clones the
-// job templates), and returns the outcomes in input order, with the
+// Compare runs every variant on the same batch and configuration as one
+// sim.RunGroup, and returns the outcomes in input order, with the
 // carbon-agnostic baseline first.
-func Compare(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, variants []sim.Scheduler,
-	pool scenario.Pool) ([]Outcome, error) {
+func Compare(cfg sim.Config, jobs []*dag.Job, baseline sim.Scheduler, variants []sim.Scheduler) ([]Outcome, error) {
 	scheds := append([]sim.Scheduler{baseline}, variants...)
+	results, err := sim.RunGroup(cfg, jobs, scheds)
+	if err != nil {
+		return nil, fmt.Errorf("ablation: %w", err)
+	}
 	outs := make([]Outcome, len(scheds))
-	errs := make([]error, len(scheds))
-	pool.ForEach(len(scheds), func(i int) {
-		s := scheds[i]
-		res, err := sim.Run(cfg, jobs, s)
-		if err != nil {
-			errs[i] = fmt.Errorf("ablation: %s: %w", s.Name(), err)
-			return
-		}
+	for i, res := range results {
 		outs[i] = Outcome{
-			Name: s.Name(), CarbonGrams: res.CarbonGrams,
+			Name: scheds[i].Name(), CarbonGrams: res.CarbonGrams,
 			ECT: res.ECT, AvgJCT: res.AvgJCT, Deferrals: res.Deferrals,
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return outs, nil

@@ -8,7 +8,6 @@ import (
 	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
 	"pcaps/internal/result"
-	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
@@ -128,7 +127,7 @@ func TestCompareAndRender(t *testing.T) {
 	outs, err := Compare(cfg, jobs, sched.NewDecima(3), []sim.Scheduler{
 		&FilterPCAPS{PB: sched.NewDecima(3), Gamma: 0.5, Seed: 3},
 		&SuspendResume{Inner: sched.NewDecima(3), Theta: 0.5},
-	}, scenario.NewPool(2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

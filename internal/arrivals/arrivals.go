@@ -232,26 +232,6 @@ type Process interface {
 	Gap(i int, now float64, r *rand.Rand) float64
 }
 
-// Finite is implemented by processes with a bounded schedule (csv
-// replay): Len is the number of arrivals the schedule covers.
-type Finite interface {
-	Len() int
-}
-
-// Classed is implemented by processes that assign a job class per
-// arrival (csv replay with a class column). ClassAt returns "" when
-// arrival i carries no assignment.
-type Classed interface {
-	ClassAt(i int) string
-}
-
-// Anchored is implemented by processes whose schedule fixes the first
-// arrival's absolute time (csv replay). Open-ended processes start at
-// time 0, the historical batch convention.
-type Anchored interface {
-	Start() float64
-}
-
 // New builds the process a validated spec describes. The spec is
 // validated first, so New is safe to call on user input.
 func New(s Spec) (Process, error) {
@@ -387,13 +367,14 @@ func (s Schedule) Gap(i int, now float64, r *rand.Rand) float64 {
 	return s.Times[i+1] - s.Times[i]
 }
 
-// Len implements Finite.
+// Len is the number of arrivals the schedule covers.
 func (s Schedule) Len() int { return len(s.Times) }
 
-// Start implements Anchored.
+// Start is the first arrival's absolute time. Open-ended processes start
+// at time 0, the historical batch convention.
 func (s Schedule) Start() float64 { return s.Times[0] }
 
-// ClassAt implements Classed.
+// ClassAt returns arrival i's class label, or "" when it carries none.
 func (s Schedule) ClassAt(i int) string {
 	if i < 0 || i >= len(s.Classes) {
 		return ""

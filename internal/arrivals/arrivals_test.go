@@ -14,8 +14,8 @@ func drawTimes(t *testing.T, p Process, n int, seedVal int64) []float64 {
 	t.Helper()
 	r := rand.New(rand.NewSource(seedVal))
 	now := 0.0
-	if a, ok := p.(Anchored); ok {
-		now = a.Start()
+	if s, ok := p.(Schedule); ok {
+		now = s.Start()
 	}
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {

@@ -39,9 +39,7 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 		&ablation.FilterPCAPS{PB: mk(), Gamma: gamma, BoundsError: 0.15, Seed: runSeed},
 		&ablation.SuspendResume{Inner: mk(), Theta: 0.5},
 	}
-	// Every entry is an independent simulation; Compare fans them out
-	// over the run's pool, so the suite spreads across the worker budget.
-	outs, err := ablation.Compare(cfg, jobs, sched.NewDecima(runSeed), variants, e.opt.pool)
+	outs, err := ablation.Compare(cfg, jobs, sched.NewDecima(runSeed), variants)
 	if err != nil {
 		return nil, err
 	}

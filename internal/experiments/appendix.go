@@ -58,7 +58,7 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 			cells = append(cells, axisCell{setting: setting, trial: trial})
 		}
 	}
-	runs := make([]map[string]*sim.Result, len(cells))
+	runs := make([][]*sim.Result, len(cells))
 	opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		cellSeed := seed.Derive(e.opt.Seed, "DE", int64(math.Float64bits(c.setting)), int64(c.trial))
@@ -73,20 +73,13 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 			baseSched = sched.NewKubeDefault()
 			capInner = func() sim.Scheduler { return sched.NewKubeDefault() }
 		}
-		// Grouped by shared decision prefix (see mustRunGroup): the CAP
-		// wrapper with its inner policy, PCAPS with its Decima base.
-		g := mustRunGroup(cfg, jobs, baseSched, sched.NewCAP(capInner(), 20))
-		p := mustRunGroup(cfg, jobs,
-			sched.NewDecima(cellSeed), sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed))
-		runs[i] = map[string]*sim.Result{
-			"": g[0], "CAP": g[1],
-			"Decima": p[0], "PCAPS": p[1],
-		}
+		runs[i] = mustRunGroup(cfg, jobs, baseSched, sched.NewDecima(cellSeed),
+			sched.NewCAP(capInner(), 20), sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed))
 	})
 	for i, c := range cells {
-		base := runs[i][""]
-		for _, nm := range names {
-			r := runs[i][nm]
+		base := runs[i][0]
+		for k, nm := range names {
+			r := runs[i][k+1]
 			a := rows[nm][c.setting]
 			a.carbon = append(a.carbon, -metrics.PercentChange(r.CarbonGrams, base.CarbonGrams))
 			a.ect = append(a.ect, r.ECT/base.ECT)

@@ -32,10 +32,9 @@ type Options struct {
 	Jobs int
 	// Seed drives every stochastic choice.
 	Seed int64
-	// Hours is the synthetic trace length (default: three paper years).
-	Hours int
 	// Fast shrinks the experiment matrix for tests and smoke runs: one
-	// grid, one batch size, minimal trials.
+	// grid, one batch size, minimal trials, and 4000-hour traces in
+	// place of three paper years.
 	Fast bool
 	// Parallel bounds the worker goroutines used to fan independent
 	// experiment cells out over the cores: 0 selects
@@ -53,13 +52,11 @@ type Options struct {
 }
 
 // scoped returns a copy of o restricted to the given grids, preserving
-// the execution fields (seed, hours, fast mode, parallelism, pool).
-// Runners that pin a grid (sweeps, ablations) use it instead of building
-// an Options literal, which would silently drop the shared pool.
+// the execution fields (seed, fast mode, parallelism, pool). Runners that
+// pin a grid (sweeps, ablations) use it instead of building an Options
+// literal, which would silently drop the shared pool.
 func (o Options) scoped(grids ...string) Options {
 	o.Grids = grids
-	o.Trials = 0
-	o.Jobs = 0
 	return o
 }
 
@@ -80,8 +77,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("experiments: negative trial count %d", o.Trials)
 	case o.Jobs < 0:
 		return fmt.Errorf("experiments: negative batch size %d", o.Jobs)
-	case o.Hours < 0:
-		return fmt.Errorf("experiments: negative trace horizon %d hours", o.Hours)
 	}
 	known := map[string]bool{}
 	var names []string
@@ -108,13 +103,6 @@ func (o Options) withDefaults() Options {
 			o.Grids = []string{"DE"}
 		} else {
 			o.Grids = []string{"PJM", "CAISO", "ON", "DE", "NSW", "ZA"}
-		}
-	}
-	if o.Hours <= 0 {
-		if o.Fast {
-			o.Hours = 4000
-		} else {
-			o.Hours = carbon.PaperHours
 		}
 	}
 	if o.Seed == 0 {
@@ -296,19 +284,25 @@ func RunAll(ids []string, opt Options) ([]*Report, error) {
 // env bundles the shared inputs of one experiment.
 type env struct {
 	opt    Options
+	hours  int
 	traces map[string]*carbon.Trace
 }
 
-// newEnv resolves the options' defaults and each selected grid's full
-// trace, read through the scenario layer's synthesis cache so a runner
-// and a compiled scenario at the same seed share one trace.
+// newEnv resolves the options' defaults, the trace length (4000 hours in
+// fast mode, three paper years otherwise: the scenario layer's default
+// too) and each selected grid's full trace, read through the scenario
+// layer's synthesis cache so a runner and a compiled scenario at the same
+// seed share one trace.
 func newEnv(opt Options) *env {
 	opt = opt.withDefaults()
-	e := &env{opt: opt, traces: map[string]*carbon.Trace{}}
+	e := &env{opt: opt, hours: carbon.PaperHours, traces: map[string]*carbon.Trace{}}
+	if opt.Fast {
+		e.hours = 4000
+	}
 	for _, spec := range carbon.Grids() {
 		for _, want := range opt.Grids {
 			if spec.Name == want {
-				e.traces[spec.Name] = scenario.SynthTrace(spec, opt.Hours, carbon.SynthSeed(opt.Seed, spec.Name))
+				e.traces[spec.Name] = scenario.SynthTrace(spec, e.hours, carbon.SynthSeed(opt.Seed, spec.Name))
 			}
 		}
 	}
@@ -339,10 +333,9 @@ func mustRun(cfg sim.Config, jobs []*dag.Job, s sim.Scheduler) *sim.Result {
 }
 
 // mustRunGroup runs one cell's scheduler variants as a common-prefix
-// group (sim.RunGroup): the shared decision prefix simulates once and
-// variants fork at their first divergent decision. Results are
-// positionally parallel to scheds and byte-identical to len(scheds)
-// mustRun calls.
+// group (sim.RunGroup): every shared decision prefix simulates once.
+// Results are positionally parallel to scheds and byte-identical to
+// len(scheds) mustRun calls.
 func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds ...sim.Scheduler) []*sim.Result {
 	res, err := sim.RunGroup(cfg, jobs, scheds)
 	if err != nil {

@@ -100,12 +100,18 @@ func TestFig1QualitativeShape(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if len(o.Grids) != 6 || o.Hours != 26304 || o.Seed == 0 {
+	if len(o.Grids) != 6 || o.Seed == 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	f := Options{Fast: true}.withDefaults()
-	if len(f.Grids) != 1 || f.Hours >= 26304 {
+	if len(f.Grids) != 1 {
 		t.Fatalf("fast defaults = %+v", f)
+	}
+	if h := newEnv(Options{Grids: []string{"DE"}}).hours; h != carbon.PaperHours {
+		t.Fatalf("trace length = %d hours, want %d", h, carbon.PaperHours)
+	}
+	if h := newEnv(Options{Fast: true}).hours; h != 4000 {
+		t.Fatalf("fast trace length = %d hours, want 4000", h)
 	}
 }
 
@@ -114,7 +120,7 @@ func TestOptionsDefaults(t *testing.T) {
 // paths return the same trace rather than two equal copies.
 func TestNewEnvSharesScenarioTraces(t *testing.T) {
 	e := newEnv(Options{Fast: true, Seed: 3})
-	tr, err := scenario.Sources{}.Trace(scenario.ClusterSpec{Grid: "DE"}, e.opt.Hours, carbon.SynthSeed(3, "DE"))
+	tr, err := scenario.Sources{}.Trace(scenario.ClusterSpec{Grid: "DE"}, e.hours, carbon.SynthSeed(3, "DE"))
 	if err != nil {
 		t.Fatal(err)
 	}

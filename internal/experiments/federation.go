@@ -36,7 +36,6 @@ func federationTable(opt Options) (*result.Artifact, error) {
 	return runSpec(opt, scenario.Spec{
 		Name:     "federation",
 		Seed:     opt.Seed,
-		Hours:    opt.Hours,
 		Trials:   opt.Trials,
 		Workload: scenario.WorkloadSpec{Mix: "tpch", Jobs: opt.Jobs},
 		Federation: &scenario.FederationSpec{

@@ -21,7 +21,6 @@ func perGridSpec(opt Options, name string, proto bool, mix workload.Mix,
 	return scenario.Spec{
 		Name:     name,
 		Seed:     opt.Seed,
-		Hours:    opt.Hours,
 		Trials:   opt.Trials,
 		Proto:    proto,
 		Grids:    opt.Grids,

@@ -104,18 +104,9 @@ func fig6(opt Options) (*result.Artifact, error) {
 	cfg.NumExecutors = 5
 	cfg.TrackJobUsage = true
 	const hours = 40 // the experiment's visible window (paper shows 15)
-	policies := []struct {
-		name string
-		s    sim.Scheduler
-	}{
-		{"Decima", sched.NewDecima(seed)},
-		{"PCAPS", sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)},
-		{"CAP-FIFO", sched.NewCAP(&sched.FIFO{}, 1)},
-	}
-	results := make([]*sim.Result, len(policies))
-	e.opt.pool.ForEach(len(policies), func(i int) {
-		results[i] = mustRun(cfg, jobs, policies[i].s)
-	})
+	names := []string{"Decima", "PCAPS", "CAP-FIFO"}
+	results := mustRunGroup(cfg, jobs,
+		sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed), sched.NewCAP(&sched.FIFO{}, 1))
 	t := &result.Table{
 		Name: "occupancy",
 		Columns: []result.Column{
@@ -127,9 +118,9 @@ func fig6(opt Options) (*result.Artifact, error) {
 				Format: "\n          |%s| (dominant job per hour)"},
 		},
 	}
-	for i, p := range policies {
+	for i, name := range names {
 		r := results[i]
-		t.Row(result.Str(p.name),
+		t.Row(result.Str(name),
 			result.Str(occupancyStrip(r, tr.Interval, 5, hours)),
 			result.Float(r.CarbonGrams), result.Float(r.ECT),
 			result.Str(dominantJobStrip(r, hours)))
@@ -175,30 +166,22 @@ func fig9(opt Options) (*result.Artifact, error) {
 			cells = append(cells, scatterCell{grid: grid, trial: trial})
 		}
 	}
-	type scatterRuns struct{ base, pc, cp *sim.Result }
-	runs := make([]scatterRuns, len(cells))
+	runs := make([][]*sim.Result, len(cells))
 	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		cellSeed := seed.Derive(e.opt.Seed, c.grid, int64(c.trial))
 		jobs := batch(n, 30, workload.MixBoth, cellSeed)
 		tr := scenario.TrialWindow(e.traces[c.grid], 60+n, cellSeed)
 		cfg := scenario.PaperSimConfig(true, tr, cellSeed)
-		// The baseline and CAP share a decision prefix (identical while
-		// the quota stays at K); PCAPS runs alone — its Decima base isn't
-		// in this cell.
-		g := mustRunGroup(cfg, jobs,
-			sched.NewKubeDefault(), sched.NewCAP(sched.NewKubeDefault(), 20))
-		runs[i] = scatterRuns{
-			base: g[0],
-			cp:   g[1],
-			pc:   mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed)),
-		}
+		runs[i] = mustRunGroup(cfg, jobs, sched.NewKubeDefault(),
+			sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed), sched.NewCAP(sched.NewKubeDefault(), 20))
 	})
 	var pcapsPts, capPts []metrics.Point
 	for _, r := range runs {
+		base, pc, cp := r[0], r[1], r[2]
 		perJob := func(res *sim.Result) float64 { return res.CarbonGrams / float64(n) }
-		pcapsPts = append(pcapsPts, metrics.Point{X: r.pc.AvgJCT / r.base.AvgJCT, Y: perJob(r.pc) / perJob(r.base)})
-		capPts = append(capPts, metrics.Point{X: r.cp.AvgJCT / r.base.AvgJCT, Y: perJob(r.cp) / perJob(r.base)})
+		pcapsPts = append(pcapsPts, metrics.Point{X: pc.AvgJCT / base.AvgJCT, Y: perJob(pc) / perJob(base)})
+		capPts = append(capPts, metrics.Point{X: cp.AvgJCT / base.AvgJCT, Y: perJob(cp) / perJob(base)})
 	}
 	a := result.New()
 	t := &result.Table{

@@ -23,7 +23,6 @@ func sweepSpec(opt Options, name string, proto bool, mix workload.Mix,
 	return scenario.Spec{
 		Name:     name,
 		Seed:     opt.Seed,
-		Hours:    opt.Hours,
 		Trials:   opt.Trials,
 		Proto:    proto,
 		Workload: scenario.WorkloadSpec{Mix: mix.String(), Jobs: opt.Jobs},
@@ -112,11 +111,9 @@ func fig13(opt Options) (*result.Artifact, error) {
 		n = 25
 	}
 	// One cell per trial: the Decima baseline and every (γ, B) point run
-	// as a common-prefix group over the trial's shared (cfg, jobs, seed)
-	// — neighboring parameter values share almost every decision, so the
-	// shared prefix simulates once (sim.RunGroup). Folded back in
-	// trial-major order, exactly the historical sample order, with each
-	// point normalized against its trial's baseline, bases[t].
+	// as one group over the trial's shared (cfg, jobs, seed). Folded back
+	// in trial-major order, exactly the historical sample order, with
+	// each point normalized against its trial's baseline, bases[t].
 	bases := make([]*sim.Result, trials)
 	perTrial := len(gammas) + len(bs)
 	runs := make([]*sim.Result, trials*perTrial)

@@ -51,7 +51,7 @@ func table1(opt Options) (*result.Artifact, error) {
 			result.Float(p[0]), result.Float(p[1]), result.Float(p[2]), result.Float(p[3]))
 	}
 	a := result.New().Add(t)
-	a.Textf("(%d hourly samples per grid; paper uses 26,304)\n", e.opt.Hours)
+	a.Textf("(%d hourly samples per grid; paper uses 26,304)\n", e.hours)
 	return a, nil
 }
 
@@ -119,27 +119,28 @@ func matrixCells(grids []string, sizes []int, trials int) []matrixCell {
 	return cells
 }
 
-// tableMatrix runs one scheduler set over the full matrix and averages
-// each scheduler's metrics, normalized to names[0] (the baseline).
+// tableMatrix runs one scheduler set over the full matrix and builds the
+// table of each scheduler's averaged metrics, normalized to names[0] (the
+// baseline). run returns one cell's results parallel to names.
 func tableMatrix(e *env, sizes []int, trials int, names []string,
-	run func(c matrixCell, seed int64) map[string]*sim.Result) map[string]*normTriple {
+	run func(c matrixCell, seed int64) []*sim.Result) *result.Table {
 	cells := matrixCells(e.opt.Grids, sizes, trials)
-	runs := make([]map[string]*sim.Result, len(cells))
+	runs := make([][]*sim.Result, len(cells))
 	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		runs[i] = run(c, seed.Derive(e.opt.Seed, c.grid, int64(c.size), int64(c.trial)))
 	})
-	aggs := map[string]*normTriple{}
-	for _, n := range names {
-		aggs[n] = &normTriple{}
-	}
+	aggs := make([]normTriple, len(names))
 	for _, rs := range runs {
-		base := rs[names[0]]
-		for _, n := range names {
-			aggs[n].add(base, rs[n])
+		for k := range names {
+			aggs[k].add(rs[0], rs[k])
 		}
 	}
-	return aggs
+	t := schedulerTable(names[0])
+	for k, n := range names {
+		t.Rows = append(t.Rows, aggs[k].cells(n))
+	}
+	return t
 }
 
 // tableSizes resolves the batch-size and trial axes shared by Tables 2/3.
@@ -166,28 +167,15 @@ func tableSizes(opt Options) (sizes []int, trials int) {
 func table2(opt Options) (*result.Artifact, error) {
 	e := newEnv(opt)
 	sizes, trials := tableSizes(e.opt)
-	names := []string{"default", "Decima", "CAP", "PCAPS"}
-	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
+	t := tableMatrix(e, sizes, trials, []string{"default", "Decima", "CAP", "PCAPS"}, func(c matrixCell, seed int64) []*sim.Result {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
 		tr := scenario.TrialWindow(e.traces[c.grid], window, seed)
 		cfg := scenario.PaperSimConfig(true, tr, seed)
-		// Grouped by shared decision prefix: CAP over the default FIFO is
-		// exactly the default while the quota stays at K, and PCAPS shares
-		// Decima's sampling stream until its first filtered decision.
-		g := mustRunGroup(cfg, jobs,
-			sched.NewKubeDefault(), sched.NewCAP(sched.NewKubeDefault(), 20))
-		p := mustRunGroup(cfg, jobs,
-			sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
-		return map[string]*sim.Result{
-			"default": g[0], "CAP": g[1],
-			"Decima": p[0], "PCAPS": p[1],
-		}
+		return mustRunGroup(cfg, jobs,
+			sched.NewKubeDefault(), sched.NewDecima(seed),
+			sched.NewCAP(sched.NewKubeDefault(), 20), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 	})
-	t := schedulerTable("default")
-	for _, n := range names {
-		t.Rows = append(t.Rows, aggs[n].cells(n))
-	}
 	a := result.New().Add(t)
 	a.Textf("paper:        default 0%%/1.0/1.0 · Decima 1.2%%/0.857/0.852 · CAP 24.7%%/1.126/1.996 · PCAPS 32.9%%/1.013/1.381\n")
 	return a, nil
@@ -201,29 +189,15 @@ func table3(opt Options) (*result.Artifact, error) {
 	e := newEnv(opt)
 	sizes, trials := tableSizes(e.opt)
 	names := []string{"FIFO", "W.Fair", "Decima", "GreenHadoop", "CAP-FIFO", "CAP-W.Fair", "CAP-Decima", "PCAPS"}
-	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
+	t := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) []*sim.Result {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
 		tr := scenario.TrialWindow(e.traces[c.grid], 60+c.size, seed)
 		cfg := scenario.PaperSimConfig(false, tr, seed)
-		// Each CAP wrapper groups with its inner scheduler (identical
-		// decisions while the quota stays at K), and PCAPS with the
-		// Decima pair it samples from.
-		f := mustRunGroup(cfg, jobs, &sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20))
-		w := mustRunGroup(cfg, jobs, &sched.WeightedFair{}, sched.NewCAP(&sched.WeightedFair{}, 20))
-		d := mustRunGroup(cfg, jobs,
-			sched.NewDecima(seed), sched.NewCAP(sched.NewDecima(seed), 20),
-			sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
-		return map[string]*sim.Result{
-			"FIFO": f[0], "CAP-FIFO": f[1],
-			"W.Fair": w[0], "CAP-W.Fair": w[1],
-			"Decima": d[0], "CAP-Decima": d[1], "PCAPS": d[2],
-			"GreenHadoop": mustRun(cfg, jobs, sched.NewGreenHadoop()),
-		}
+		return mustRunGroup(cfg, jobs,
+			&sched.FIFO{}, &sched.WeightedFair{}, sched.NewDecima(seed), sched.NewGreenHadoop(),
+			sched.NewCAP(&sched.FIFO{}, 20), sched.NewCAP(&sched.WeightedFair{}, 20),
+			sched.NewCAP(sched.NewDecima(seed), 20), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 	})
-	t := schedulerTable("FIFO")
-	for _, n := range names {
-		t.Rows = append(t.Rows, aggs[n].cells(n))
-	}
 	a := result.New().Add(t)
 	a.Textf("paper CO2 red.: W.Fair 12.1%% · Decima 21.5%% · GreenHadoop 8.2%% · CAP-FIFO 22.7%% · CAP-W.Fair 34.2%% · CAP-Decima 31.1%% · PCAPS 39.7%%\n")
 	a.Textf("paper ECT:      0.972 · 0.970 · 1.077 · 1.108 · 1.011(WF) · 1.061(Dec) · 1.045(PCAPS)\n")

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sort"
@@ -55,19 +56,10 @@ func Compile(s Spec) (*Program, error) {
 // pool's panic path back to Run, which converts it to an error.
 type simError struct{ err error }
 
-// mustRun runs one member simulation, aborting the whole program on
-// failure (fail-fast through the pool, like the experiment engine).
-func mustRun(cfg sim.Config, jobs []*dag.Job, s sim.Scheduler) *sim.Result {
-	res, err := sim.Run(cfg, jobs, s)
-	if err != nil {
-		panic(simError{fmt.Errorf("scenario: %s: %w", s.Name(), err)})
-	}
-	return res
-}
-
 // mustRunStream runs one member simulation through the streaming engine,
-// drawing jobs lazily from a fresh workload source (fail-fast through the
-// pool, like mustRun).
+// drawing jobs lazily from a fresh workload source, aborting the whole
+// program on failure (fail-fast through the pool, like the experiment
+// engine).
 func mustRunStream(cfg sim.Config, src sim.JobSource, s sim.Scheduler) *sim.Result {
 	res, err := sim.RunStream(cfg, src, s)
 	if err != nil {
@@ -77,9 +69,9 @@ func mustRunStream(cfg sim.Config, src sim.JobSource, s sim.Scheduler) *sim.Resu
 }
 
 // mustRunGroup runs one cell's policy variants as a common-prefix group
-// (sim.RunGroup): one shared simulation up to the first policy-divergent
-// decision, per-variant forks after. Results are positionally parallel
-// to scheds and byte-identical to len(scheds) mustRun calls.
+// (sim.RunGroup), aborting the whole program on failure. Results are
+// positionally parallel to scheds and byte-identical to len(scheds)
+// independent runs.
 func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds []sim.Scheduler) []*sim.Result {
 	res, err := sim.RunGroup(cfg, jobs, scheds)
 	if err != nil {
@@ -215,13 +207,17 @@ func (p *Program) Run(env Env) (art *result.Artifact, err error) {
 	if err != nil {
 		return nil, err
 	}
+	pl, err := r.plan()
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case p.spec.Sweep != nil:
-		art, err = r.runSweep()
+		art, err = r.runSweep(pl)
 	case p.spec.Federation != nil:
-		art, err = r.runFederation()
+		art, err = r.runFederation(pl)
 	default:
-		art, err = r.runComparison()
+		art, err = r.runComparison(pl)
 	}
 	if err != nil {
 		return nil, err
@@ -234,46 +230,84 @@ func (p *Program) Run(env Env) (art *result.Artifact, err error) {
 	return art, nil
 }
 
-// resolveMembers materializes the scenario's cluster axis: explicit
-// clusters with their declared carbon sources, or synthesized grids
-// (the engine default set when neither is given).
-func (r *runEnv) resolveMembers() ([]member, error) {
-	if len(r.spec.Clusters) > 0 {
-		out := make([]member, len(r.spec.Clusters))
-		for i, c := range r.spec.Clusters {
-			name := c.Name
-			if name == "" {
-				name = c.Grid
-			}
+// plan is a scenario family's resolved matrix, the one description both
+// Run and Inputs read: the member sets (one per federation topology, one
+// otherwise), the batch sizes and the trials.
+type plan struct {
+	sets   [][]member
+	sizes  []int
+	trials int
+}
+
+// plan resolves the family's matrix. A comparison runs 3 trials of
+// {25, 50, 100} jobs over the declared clusters or grids, all six paper
+// grids by default. A sweep runs 5 trials of 50 jobs on its one cluster:
+// the declared one, else sweep.grid, default DE. A federation runs 3
+// trials of 40 jobs over each topology, or over the declared clusters or
+// grids. Fast mode runs one trial, shrinks the default batch to 25 jobs
+// (16 in a federation) and the default grid set to DE; declared trials
+// and batch sizes are used as written.
+func (r *runEnv) plan() (*plan, error) {
+	s := r.spec
+	p := &plan{trials: 3, sizes: []int{25, 50, 100}}
+	fastSizes := []int{25}
+	switch {
+	case s.Sweep != nil:
+		p.trials, p.sizes = 5, []int{50}
+	case s.Federation != nil:
+		p.sizes, fastSizes = []int{40}, []int{16}
+	}
+	if s.Trials > 0 {
+		p.trials = s.Trials
+	}
+	if r.fast {
+		p.trials, p.sizes = 1, fastSizes
+	}
+	switch {
+	case len(s.Workload.Sizes) > 0:
+		p.sizes = s.Workload.Sizes
+	case s.Workload.Jobs > 0:
+		p.sizes = []int{s.Workload.Jobs}
+	}
+
+	var sets [][]ClusterSpec
+	switch {
+	case len(s.Clusters) > 0:
+		sets = [][]ClusterSpec{s.Clusters}
+	case s.Sweep != nil:
+		sets = [][]ClusterSpec{gridClusters([]string{cmp.Or(s.Sweep.Grid, "DE")})}
+	case s.Federation != nil && len(s.Federation.Topologies) > 0:
+		for _, topo := range s.Federation.Topologies {
+			sets = append(sets, gridClusters(topo))
+		}
+	case len(s.Grids) > 0:
+		sets = [][]ClusterSpec{gridClusters(s.Grids)}
+	case r.fast:
+		sets = [][]ClusterSpec{gridClusters([]string{"DE"})}
+	default:
+		sets = [][]ClusterSpec{gridClusters([]string{"PJM", "CAISO", "ON", "DE", "NSW", "ZA"})}
+	}
+	for _, cs := range sets {
+		ms := make([]member, len(cs))
+		for i, c := range cs {
 			tr, err := r.traces.Trace(c, r.hours, carbon.SynthSeed(r.seed, c.Grid))
 			if err != nil {
 				return nil, err
 			}
-			out[i] = member{key: name, grid: c.Grid, trace: tr, executors: c.Executors}
+			ms[i] = member{key: cmp.Or(c.Name, c.Grid), grid: c.Grid, trace: tr, executors: c.Executors}
 		}
-		return out, nil
+		p.sets = append(p.sets, ms)
 	}
-	grids := r.spec.Grids
-	if len(grids) == 0 {
-		if r.fast {
-			grids = []string{"DE"}
-		} else {
-			grids = []string{"PJM", "CAISO", "ON", "DE", "NSW", "ZA"}
-		}
-	}
-	return r.gridMembers(grids)
+	return p, nil
 }
 
-func (r *runEnv) gridMembers(grids []string) ([]member, error) {
-	out := make([]member, len(grids))
+// gridClusters declares one synthesized cluster per grid.
+func gridClusters(grids []string) []ClusterSpec {
+	cs := make([]ClusterSpec, len(grids))
 	for i, g := range grids {
-		tr, err := r.traces.Trace(ClusterSpec{Grid: g}, r.hours, carbon.SynthSeed(r.seed, g))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = member{key: g, grid: g, trace: tr}
+		cs[i] = ClusterSpec{Grid: g}
 	}
-	return out, nil
+	return cs
 }
 
 // baseConfig builds one member simulation's engine configuration: the
@@ -356,33 +390,8 @@ type comparisonCell struct {
 	member, size, trial int
 }
 
-func (r *runEnv) runComparison() (*result.Artifact, error) {
-	members, err := r.resolveMembers()
-	if err != nil {
-		return nil, err
-	}
-	trials := r.spec.Trials
-	if trials <= 0 {
-		trials = 3
-	}
-	if r.fast {
-		trials = 1
-	}
-	var sizes []int
-	if len(r.spec.Workload.Sizes) > 0 {
-		// Fast mode shrinks defaults only; an explicitly declared size
-		// axis is honored as written.
-		sizes = r.spec.Workload.Sizes
-	} else {
-		sizes = []int{25, 50, 100}
-		if r.fast {
-			sizes = []int{25}
-		}
-		if r.spec.Workload.Jobs > 0 {
-			sizes = []int{r.spec.Workload.Jobs}
-		}
-	}
-
+func (r *runEnv) runComparison(p *plan) (*result.Artifact, error) {
+	members, sizes, trials := p.sets[0], p.sizes, p.trials
 	baseline, err := compilePolicy(*r.spec.Baseline)
 	if err != nil {
 		return nil, err
@@ -436,10 +445,6 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 			return
 		}
 		jobs := r.batch(c.size, cellSeed)
-		// The baseline and every policy run as one common-prefix group:
-		// variants share the simulation until their first divergent
-		// decision (sim.RunGroup), which is most of the run for wrapper
-		// policies in low-carbon windows.
 		scheds := make([]sim.Scheduler, 0, len(names)+1)
 		scheds = append(scheds, baseline(cellSeed))
 		for _, name := range names {
@@ -572,43 +577,9 @@ func sweepTable(label string, pts []sweepPoint) *result.Table {
 	return t
 }
 
-func (r *runEnv) runSweep() (*result.Artifact, error) {
+func (r *runEnv) runSweep(p *plan) (*result.Artifact, error) {
 	sw := r.spec.Sweep
-	var m member
-	if len(r.spec.Clusters) > 0 {
-		members, err := r.resolveMembers()
-		if err != nil {
-			return nil, err
-		}
-		m = members[0]
-	} else {
-		grid := sw.Grid
-		if grid == "" {
-			grid = "DE"
-		}
-		members, err := r.gridMembers([]string{grid})
-		if err != nil {
-			return nil, err
-		}
-		m = members[0]
-	}
-	trials := r.spec.Trials
-	if trials <= 0 {
-		trials = 5
-	}
-	if r.fast {
-		trials = 1
-	}
-	n := r.spec.Workload.Jobs
-	if n <= 0 {
-		n = 50
-		// Fast mode shrinks the default batch only; an explicit size is
-		// honored (the built-in sweep artifacts never set one, so their
-		// goldens see the historical 25-job fast batches).
-		if r.fast {
-			n = 25
-		}
-	}
+	m, n, trials := p.sets[0][0], p.sizes[0], p.trials
 	baseline, err := compilePolicy(*r.spec.Baseline)
 	if err != nil {
 		return nil, err
@@ -625,13 +596,10 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 		aware[i] = f
 	}
 
-	// One cell per trial: the baseline and every parameter point run as a
-	// common-prefix group over the trial's shared (cfg, jobs, seed) —
-	// neighboring sweep values share almost every scheduling decision, so
-	// sim.RunGroup simulates the shared prefix once and forks per value.
-	// The fold walks trials in order so the sample order matches a serial
-	// sweep exactly, with each point normalized against its trial's
-	// baseline, bases[t].
+	// One cell per trial: the baseline and every parameter point run as
+	// one group over the trial's shared (cfg, jobs, seed). The fold walks
+	// trials in order so the sample order matches a serial sweep exactly,
+	// with each point normalized against its trial's baseline, bases[t].
 	bases := make([]*sim.Result, trials)
 	runs := make([][]*sim.Result, trials)
 	r.pool.ForEach(trials, func(t int) {
@@ -700,41 +668,9 @@ func (a *fedAgg) summary() metrics.FederationSummary {
 	}
 }
 
-func (r *runEnv) runFederation() (*result.Artifact, error) {
+func (r *runEnv) runFederation(p *plan) (*result.Artifact, error) {
 	f := r.spec.Federation
-	// Resolve the topologies: explicit grid-name sets, or the spec's
-	// clusters/grids as a single topology.
-	var topologies [][]member
-	if len(f.Topologies) > 0 {
-		for _, topo := range f.Topologies {
-			ms, err := r.gridMembers(topo)
-			if err != nil {
-				return nil, err
-			}
-			topologies = append(topologies, ms)
-		}
-	} else {
-		ms, err := r.resolveMembers()
-		if err != nil {
-			return nil, err
-		}
-		topologies = [][]member{ms}
-	}
-
-	trials := r.spec.Trials
-	if trials <= 0 {
-		trials = 3
-	}
-	njobs := r.spec.Workload.Jobs
-	if njobs <= 0 {
-		njobs = 40
-	}
-	if r.fast {
-		trials = 1
-		if r.spec.Workload.Jobs <= 0 {
-			njobs = 16
-		}
-	}
+	topologies, njobs, trials := p.sets, p.sizes[0], p.trials
 	window := 60 + njobs // hours: generous for the batch
 
 	memberPolicy := PolicySpec{Kind: "fifo"}

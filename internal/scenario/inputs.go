@@ -68,70 +68,11 @@ func (p *Program) Inputs(env Env) (out *Inputs, err error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var members []member
-	switch {
-	case p.spec.Sweep != nil:
-		if len(p.spec.Clusters) > 0 {
-			members, err = r.resolveMembers()
-		} else {
-			grid := p.spec.Sweep.Grid
-			if grid == "" {
-				grid = "DE"
-			}
-			members, err = r.gridMembers([]string{grid})
-		}
-	case p.spec.Federation != nil && len(p.spec.Federation.Topologies) > 0:
-		seen := map[string]bool{}
-		for _, topo := range p.spec.Federation.Topologies {
-			ms, terr := r.gridMembers(topo)
-			if terr != nil {
-				err = terr
-				break
-			}
-			for _, m := range ms {
-				if !seen[m.key] {
-					seen[m.key] = true
-					members = append(members, m)
-				}
-			}
-		}
-	default:
-		members, err = r.resolveMembers()
-	}
+	pl, err := r.plan()
 	if err != nil {
 		return nil, err
 	}
-
-	n := p.spec.Workload.Jobs
-	switch {
-	case p.spec.Sweep != nil:
-		// Mirrors runSweep: fast shrinks the default batch only, an
-		// explicit size is honored — Inputs must describe what Run
-		// simulates.
-		if n <= 0 {
-			n = 50
-			if r.fast {
-				n = 25
-			}
-		}
-	case p.spec.Federation != nil:
-		if n <= 0 {
-			n = 40
-			if r.fast {
-				n = 16
-			}
-		}
-	default:
-		if n <= 0 {
-			if len(p.spec.Workload.Sizes) > 0 {
-				n = p.spec.Workload.Sizes[0]
-			} else {
-				n = 25
-			}
-		}
-	}
-
+	n := pl.sizes[0]
 	inter := 0.0
 	if r.arr.Kind == arrivals.KindPoisson {
 		inter = r.arr.MeanSec
@@ -146,11 +87,18 @@ func (p *Program) Inputs(env Env) (out *Inputs, err error) {
 		Arrivals:        r.arr,
 		Classes:         p.spec.Workload.Classes,
 	}
-	for _, m := range members {
-		out.Clusters = append(out.Clusters, ResolvedCluster{
-			Name: m.key, Grid: m.grid, Trace: m.trace,
-			SynthSeed: carbon.SynthSeed(r.seed, m.grid),
-		})
+	seen := map[string]bool{}
+	for _, ms := range pl.sets {
+		for _, m := range ms {
+			if seen[m.key] {
+				continue
+			}
+			seen[m.key] = true
+			out.Clusters = append(out.Clusters, ResolvedCluster{
+				Name: m.key, Grid: m.grid, Trace: m.trace,
+				SynthSeed: carbon.SynthSeed(r.seed, m.grid),
+			})
+		}
 	}
 	return out, nil
 }

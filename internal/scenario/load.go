@@ -53,28 +53,21 @@ func parseStrictJSON(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Load reads and parses a spec file. Extension selects the format
-// (.json → JSON, .yaml/.yml → YAML); anything else is sniffed by
-// content as in Parse.
+// Load reads and parses a spec file: a .json file as JSON, any other
+// through Parse, which tells JSON from YAML by content. Errors name the
+// file.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".json":
-		return parseStrictJSON(data)
-	case ".yaml", ".yml":
-		tree, err := yamlToTree(data)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", path, err)
-		}
-		enc, err := json.Marshal(tree)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", path, err)
-		}
-		return parseStrictJSON(enc)
-	default:
-		return Parse(data)
+	parse := Parse
+	if strings.EqualFold(filepath.Ext(path), ".json") {
+		parse = parseStrictJSON
 	}
+	s, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }

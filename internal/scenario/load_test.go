@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -156,5 +158,40 @@ func TestLoadExampleGallery(t *testing.T) {
 		if _, err := Compile(*spec); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+	}
+}
+
+// TestLoadJSONInYAMLFile: a file not named .json goes through Parse, so a
+// JSON document saved as .yaml loads to the same Spec as the .json file,
+// and a decoding error still names the file.
+func TestLoadJSONInYAMLFile(t *testing.T) {
+	const src = "../../examples/scenarios/minimal.json"
+	want, err := Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "minimal.yaml")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON saved as .yaml loaded to\n%+v\nwant\n%+v", got, want)
+	}
+
+	bad := filepath.Join(dir, "bad.yaml")
+	if err := os.WriteFile(bad, []byte("name demo\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("malformed YAML: error %v, want one naming %s", err, bad)
 	}
 }

@@ -439,6 +439,9 @@ func (s *Spec) Validate() error {
 		if e.Executors > MaxSpecExecutors {
 			return fieldErr("engine.executors", "%d exceeds the spec ceiling of %d", e.Executors, MaxSpecExecutors)
 		}
+		if e.MoveDelaySec < 0 {
+			return fieldErr("engine.move_delay_sec", "negative hand-off delay %v s", e.MoveDelaySec)
+		}
 		if e.Stream && (s.Sweep != nil || s.Federation != nil) {
 			// Sweeps and federations lean on batch replay (common-prefix
 			// groups, per-member routing of one materialized batch); the

@@ -95,6 +95,9 @@ func TestValidateRejects(t *testing.T) {
 			s.Metrics = []string{MetricCostUSD}
 		}, []string{"metrics[0]", "carbon_price_usd_per_tonne"}},
 		{"negative price", func(s *Spec) { s.CarbonPriceUSDPerTonne = -5 }, []string{"carbon_price_usd_per_tonne", "negative carbon price"}},
+		{"negative move delay", func(s *Spec) {
+			s.Engine = &EngineSpec{MoveDelaySec: -5}
+		}, []string{"engine.move_delay_sec", "negative hand-off delay"}},
 		{"sweep without values", func(s *Spec) {
 			s.Grids, s.Policies = nil, nil
 			s.Sweep = &SweepSpec{Policy: PolicySpec{Kind: "cap"}}

@@ -7,12 +7,13 @@ package sim
 // Decima's sampling stream until the first filtered or parallelism-scaled
 // decision. RunGroup exploits that: one master simulation advances the
 // shared state while every attached variant's scheduler is consulted at
-// each decision point; the moment a variant's decision would produce a
-// different state transition, it forks onto a cheap in-memory clone of the
-// cluster (µs, no JSON round-trip — contrast Cluster.Snapshot) and runs to
-// completion independently. Determinism makes this sound: with identical
-// seeds and identical decision effects, the shared trajectory is
-// bit-for-bit the trajectory each variant would have produced alone.
+// each decision point; the moment some variants' decisions would produce a
+// different state transition, they fork onto a cheap in-memory clone of
+// the cluster (µs, no JSON round-trip — contrast Cluster.Snapshot), those
+// with equal transitions together, and share that clone the same way.
+// Determinism makes this sound: with identical seeds and identical
+// decision effects, the shared trajectory is bit-for-bit the trajectory
+// each variant would have produced alone.
 
 import (
 	"fmt"
@@ -33,6 +34,15 @@ type groupVariant struct {
 	err          error
 }
 
+// pick asks the variant for its decision with its own deferral counters
+// loaded into the cluster.
+func (v *groupVariant) pick(c *Cluster) Decision {
+	c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
+	d := v.s.Pick(c)
+	v.deferrals, v.deferredWork = c.deferrals, c.deferredWork
+	return d
+}
+
 // forkable reports whether a configuration supports lockstep group
 // execution. Failure injection consumes the cluster RNG (whose draw
 // order would interleave across variants), stateful forecasters and
@@ -43,16 +53,16 @@ func forkable(cfg Config) bool {
 		cfg.Forecaster == nil && cfg.Observer == nil && !cfg.TrackJobUsage
 }
 
-// RunGroup simulates the batch under every scheduler, sharing the common
-// decision prefix across variants (one state evolution, per-variant
-// forks at divergence). Results are positionally parallel to scheds and
+// RunGroup simulates the batch under every scheduler, sharing every
+// common decision prefix across variants (one state evolution, forks at
+// divergence). Results are positionally parallel to scheds and
 // byte-identical to len(scheds) independent Run calls. Configurations
 // that cannot fork (see forkable) degrade to exactly those calls.
 func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("sim: RunGroup needs at least one scheduler")
 	}
-	if len(scheds) == 1 || !forkable(cfg) {
+	if !forkable(cfg) {
 		results := make([]*Result, len(scheds))
 		for i, s := range scheds {
 			r, err := Run(cfg, jobs, s)
@@ -68,23 +78,12 @@ func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error
 	if err != nil {
 		return nil, err
 	}
-	vs := make([]*groupVariant, len(scheds))
+	g := make(group, len(scheds))
 	for i, s := range scheds {
-		vs[i] = &groupVariant{s: s}
+		g[i] = &groupVariant{s: s}
 	}
-	g := group(slices.Clone(vs))
-	if err := c.run(&g); err != nil {
-		return nil, err
-	}
-	// The master state is the final state of every still-attached variant.
-	for i, v := range g {
-		if i > 0 {
-			// Results must not share mutable backing arrays.
-			c.usage, c.jcts, c.jobCarbon = slices.Clone(c.usage), slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
-		}
-		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
-		v.result, v.err = c.result(v.s.Name())
-	}
+	vs := slices.Clone(g)
+	g.complete(c, nil)
 	results := make([]*Result, len(vs))
 	for i, v := range vs {
 		if v.err != nil {
@@ -95,44 +94,83 @@ func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error
 	return results, nil
 }
 
-// group is the lockstep Scheduler RunGroup runs the event loop under:
-// the variants still attached to the shared state, the first of which
+// group is the lockstep Scheduler a group run drives the event loop
+// under: the variants still attached to one state, the first of which
 // (the master) decides.
 type group []*groupVariant
 
 func (g *group) Name() string { return (*g)[0].s.Name() }
 
-// Pick asks every attached variant for its decision on the shared state,
-// each with its own deferral counters. A variant whose decision would
-// change the state differently from the master's forks onto a clone of
-// the state and finishes there; the master's decision drives the loop.
+// Pick asks every attached variant for its decision on the shared state;
+// the master's drives the loop. Variants whose decisions would change the
+// state differently from the master's leave the group: those with equal
+// effects fork together onto one clone of the state, as a group of their
+// own, in order of first appearance. A group of one asks its variant
+// directly.
 func (g *group) Pick(c *Cluster) Decision {
-	var d0 Decision
-	var e0 decisionEffect
-	keep := (*g)[:0]
-	for i, v := range *g {
-		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
-		d := v.s.Pick(c)
-		v.deferrals, v.deferredWork = c.deferrals, c.deferredWork
-		switch e := c.effectOf(d); {
-		case i == 0:
-			d0, e0 = d, e
+	if len(*g) == 1 {
+		return (*g)[0].pick(c)
+	}
+	type fork struct {
+		e decisionEffect
+		d Decision
+		g group
+	}
+	var forks []fork
+	d0 := (*g)[0].pick(c)
+	e0 := c.effectOf(d0)
+	keep := (*g)[:1]
+	for _, v := range (*g)[1:] {
+		d := v.pick(c)
+		e := c.effectOf(d)
+		if e == e0 {
 			keep = append(keep, v)
-		case e == e0:
-			keep = append(keep, v)
-		default:
-			v.fork(c, d)
+			continue
 		}
+		k := slices.IndexFunc(forks, func(f fork) bool { return f.e == e })
+		if k < 0 {
+			k = len(forks)
+			forks = append(forks, fork{e: e, d: d})
+		}
+		forks[k].g = append(forks[k].g, v)
 	}
 	*g = keep
+	for _, f := range forks {
+		n, jm, sm := c.clone()
+		f.d.Ref.Job, f.d.Ref.Stage = jm[f.d.Ref.Job], sm[f.d.Ref.Stage]
+		f.g.complete(n, &f.d)
+	}
 	return d0
+}
+
+// complete runs a group's state to the end and gives every variant still
+// attached its result. A forked group first finishes the open scheduling
+// pass with its divergent decision d replayed; the master group has none.
+func (g *group) complete(c *Cluster, d *Decision) {
+	var err error
+	if d != nil {
+		err = c.pass(&replay{Scheduler: g, d: d})
+	}
+	if err == nil {
+		err = c.run(g)
+	}
+	for i, v := range *g {
+		if v.err = err; err != nil {
+			continue
+		}
+		if i > 0 {
+			// Results must not share mutable backing arrays.
+			c.usage, c.jcts, c.jobCarbon = slices.Clone(c.usage), slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
+		}
+		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
+		v.result, v.err = c.result(v.s.Name())
+	}
 }
 
 // decisionEffect is the state transition a Decision produces: a defer,
 // or the stage it targets with bindRule's limit and bind count. Two
 // decisions with equal effects leave the cluster in identical states, so
-// a shadow variant stays attached exactly while its effects match the
-// master's.
+// a variant stays attached exactly while its effects match the master's.
 type decisionEffect struct {
 	deferred bool
 	job      *JobRun
@@ -152,22 +190,6 @@ func (c *Cluster) effectOf(d Decision) decisionEffect {
 		e.limit, e.binds, _ = c.bindRule(d)
 	}
 	return e
-}
-
-// fork detaches the variant at its divergent decision d: clone the
-// shared state (with the variant's deferral counters, which Pick has just
-// loaded), finish the open scheduling pass there with d replayed first,
-// and run the clone to completion under the variant's scheduler.
-func (v *groupVariant) fork(master *Cluster, d Decision) {
-	c, jm, sm := master.clone()
-	d.Ref.Job, d.Ref.Stage = jm[d.Ref.Job], sm[d.Ref.Stage]
-	if v.err = c.pass(&replay{Scheduler: v.s, d: &d}); v.err != nil {
-		return
-	}
-	if v.err = c.run(v.s); v.err != nil {
-		return
-	}
-	v.result, v.err = c.result(v.s.Name())
 }
 
 // replay answers its first Pick with a recorded decision and every later

@@ -41,11 +41,26 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 		return tr
 	}
 
+	const k = 12 // executors in both regimes
 	type group struct {
 		name string
 		mk   func(seed int64) []sim.Scheduler
 	}
 	groups := []group{
+		// Decima and its CAP wrappers leave the FIFO master at the same
+		// decision, those with equal effects together onto one clone. At
+		// B = K the quota never binds, so CAP(Decima, K) rides with Decima
+		// to the end; at seeds 1 and 7 the tighter quotas leave with them
+		// and split off that sub-group once they bind.
+		{"fifo+decima-subgroups", func(seed int64) []sim.Scheduler {
+			return []sim.Scheduler{
+				&sched.FIFO{},
+				sched.NewDecima(seed),
+				sched.NewCAP(sched.NewDecima(seed), k),
+				sched.NewCAP(sched.NewDecima(seed), 10),
+				sched.NewCAP(sched.NewDecima(seed), 8),
+			}
+		}},
 		{"fifo+cap", func(seed int64) []sim.Scheduler {
 			return []sim.Scheduler{&sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20)}
 		}},
@@ -72,10 +87,10 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 		cfg  func(tr *carbon.Trace, seed int64) sim.Config
 	}{
 		{"pool", func(tr *carbon.Trace, seed int64) sim.Config {
-			return sim.Config{NumExecutors: 12, Trace: tr, Seed: seed}
+			return sim.Config{NumExecutors: k, Trace: tr, Seed: seed}
 		}},
 		{"hold", func(tr *carbon.Trace, seed int64) sim.Config {
-			return sim.Config{NumExecutors: 12, Trace: tr, Seed: seed,
+			return sim.Config{NumExecutors: k, Trace: tr, Seed: seed,
 				HoldExecutors: true, IdleTimeout: 60}
 		}},
 	}
@@ -125,8 +140,8 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 }
 
 // TestRunGroupSingleAndFallback pins the degenerate paths: a one-element
-// group and a non-forkable config (failure injection on) must both fall
-// back to plain sequential runs.
+// group and a non-forkable config (failure injection on) must both match
+// plain sequential runs.
 func TestRunGroupSingleAndFallback(t *testing.T) {
 	t.Parallel()
 	vals := make([]float64, 200)

@@ -22,7 +22,7 @@ import (
 type Source struct {
 	cfg         GenConfig
 	proc        arrivals.Process
-	classed     arrivals.Classed
+	schedule    arrivals.Schedule // proc when it replays a schedule; zero, labeling nothing, otherwise
 	byName      map[string]int
 	totalWeight float64
 	r           *rand.Rand
@@ -40,8 +40,9 @@ func NewSource(cfg GenConfig) (*Source, error) {
 	if proc == nil {
 		proc = arrivals.Poisson{MeanSec: arrivals.DefaultPoissonMeanSec}
 	}
-	if f, ok := proc.(arrivals.Finite); ok && cfg.N > f.Len() {
-		return nil, fmt.Errorf("workload: batch of %d jobs exceeds the %d-arrival schedule", cfg.N, f.Len())
+	schedule, replay := proc.(arrivals.Schedule)
+	if replay && cfg.N > schedule.Len() {
+		return nil, fmt.Errorf("workload: batch of %d jobs exceeds the %d-arrival schedule", cfg.N, schedule.Len())
 	}
 	byName := make(map[string]int, len(cfg.Classes))
 	var totalWeight float64
@@ -55,17 +56,16 @@ func NewSource(cfg GenConfig) (*Source, error) {
 		byName[c.Name] = i
 		totalWeight += c.Weight
 	}
-	classed, _ := proc.(arrivals.Classed)
 	s := &Source{
 		cfg:         cfg,
 		proc:        proc,
-		classed:     classed,
+		schedule:    schedule,
 		byName:      byName,
 		totalWeight: totalWeight,
 		r:           rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if a, ok := proc.(arrivals.Anchored); ok {
-		s.t = a.Start()
+	if replay {
+		s.t = schedule.Start()
 	}
 	return s, nil
 }
@@ -83,14 +83,12 @@ func (s *Source) Next() (*dag.Job, error) {
 		j = fromMix(s.cfg.Mix, s.r, i)
 	} else {
 		ci := -1
-		if s.classed != nil {
-			if label := s.classed.ClassAt(i); label != "" {
-				idx, ok := s.byName[label]
-				if !ok {
-					return nil, fmt.Errorf("workload: schedule arrival %d names unknown class %q", i, label)
-				}
-				ci = idx
+		if label := s.schedule.ClassAt(i); label != "" {
+			idx, ok := s.byName[label]
+			if !ok {
+				return nil, fmt.Errorf("workload: schedule arrival %d names unknown class %q", i, label)
 			}
+			ci = idx
 		}
 		if ci < 0 {
 			// Weighted class pick; the draw precedes the job's shape
