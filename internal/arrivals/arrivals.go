@@ -32,6 +32,14 @@ const (
 	KindCSV      = "csv"
 )
 
+// MaxDurationSec bounds every duration a spec gives in seconds of
+// experiment time: an arrival process's mean gap, period, burst and
+// explicit arrival times, and the gap 1/rate a rate implies (the
+// scenario layer applies it to its own duration knobs too). 1e9 s is
+// about 32 years, far above the 3-year carbon traces; a longer span
+// describes no workload and overflows a run's arithmetic to NaN.
+const MaxDurationSec = 1e9
+
 // Kinds lists the process kinds in canonical order (error messages,
 // validation sets).
 func Kinds() []string {
@@ -115,12 +123,22 @@ func (s Spec) Validate() error {
 	if s.MeanSec < 0 || math.IsNaN(s.MeanSec) || math.IsInf(s.MeanSec, 0) {
 		return fieldErr("mean_sec", "mean interarrival %v is not a positive duration", s.MeanSec)
 	}
+	if s.MeanSec > MaxDurationSec {
+		return fieldErr("mean_sec", "mean interarrival %v s exceeds the ceiling of %v s", s.MeanSec, MaxDurationSec)
+	}
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"rps", s.RPS}, {"peak_rps", s.PeakRPS}, {"period_sec", s.PeriodSec}, {"burst_sec", s.BurstSec}} {
+		rate bool
+	}{{"rps", s.RPS, true}, {"peak_rps", s.PeakRPS, true}, {"period_sec", s.PeriodSec, false}, {"burst_sec", s.BurstSec, false}} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fieldErr(f.name, "%v is not a non-negative finite number", f.v)
+		}
+		if f.rate && f.v > 0 && f.v < 1/MaxDurationSec {
+			return fieldErr(f.name, "rate %v implies gaps over the ceiling of %v s", f.v, MaxDurationSec)
+		}
+		if !f.rate && f.v > MaxDurationSec {
+			return fieldErr(f.name, "%v s exceeds the ceiling of %v s", f.v, MaxDurationSec)
 		}
 	}
 	switch s.Kind {
@@ -200,8 +218,8 @@ func (s Spec) Validate() error {
 		}
 		prev := math.Inf(-1)
 		for i, t := range s.Times {
-			if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-				return fieldErr(fmt.Sprintf("times[%d]", i), "arrival time %v is not a non-negative finite second", t)
+			if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 || t > MaxDurationSec {
+				return fieldErr(fmt.Sprintf("times[%d]", i), "arrival time %v is not a second in [0, %v]", t, MaxDurationSec)
 			}
 			if t < prev {
 				return fieldErr(fmt.Sprintf("times[%d]", i), "arrival times must be non-decreasing (%v after %v)", t, prev)

@@ -175,6 +175,12 @@ func TestValidateRejects(t *testing.T) {
 		{Spec{Kind: KindCSV, Times: []float64{-1}}, "times[0]"},
 		{Spec{Kind: KindCSV, Times: []float64{1, 2}, Classes: []string{"a"}}, "classes"},
 		{Spec{Kind: KindPoisson, Classes: []string{"a"}}, "classes"},
+		{Spec{Kind: KindPoisson, MeanSec: 1e308}, "mean_sec"},
+		{Spec{Kind: KindConstant, RPS: 1e-308}, "rps"},
+		{Spec{Kind: KindRamp, RPS: 1, PeakRPS: 2, PeriodSec: 1e308}, "period_sec"},
+		{Spec{Kind: KindDiurnal, RPS: 1e-10, PeakRPS: 1, PeriodSec: 10}, "rps"},
+		{Spec{Kind: KindBurst, RPS: 1, PeakRPS: 2, PeriodSec: MaxDurationSec, BurstSec: 2 * MaxDurationSec}, "burst_sec"},
+		{Spec{Kind: KindCSV, Times: []float64{0, 1e308}}, "times[1]"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

@@ -1,8 +1,6 @@
 package carbonapi
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 )
@@ -37,21 +35,4 @@ func badParam(param, format string, args ...any) *ParamError {
 //pcaps:fielderr-sink
 func badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
-// decodeError converts a request-body decode failure into a
-// *ParamError, naming the offending JSON field when the decoder
-// reports one (type mismatches carry the dotted field path; the strict
-// decoder's unknown-field message already names the field and is kept
-// verbatim).
-func decodeError(what string, err error) *ParamError {
-	var ute *json.UnmarshalTypeError
-	if errors.As(err, &ute) && ute.Field != "" {
-		return badParam(ute.Field, "cannot decode %s value into %s", ute.Value, ute.Type)
-	}
-	var se *json.SyntaxError
-	if errors.As(err, &se) {
-		return badParam(what, "malformed JSON at offset %d: %v", se.Offset, err)
-	}
-	return badParam(what, "%v", err)
 }

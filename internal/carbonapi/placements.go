@@ -1,9 +1,7 @@
 package carbonapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -79,13 +77,11 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("placement request exceeds %d bytes", maxPlacementBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	// A misspelled field would otherwise silently fall back to a
-	// default (e.g. "gama" running γ=0.5); reject it naming the field.
-	dec.DisallowUnknownFields()
-	var req PlacementRequest
-	if err := dec.Decode(&req); err != nil {
-		badRequest(w, decodeError("body", err))
+	// Strict: a misspelled field would otherwise silently fall back to a
+	// default (e.g. "gama" running γ=0.5); it is rejected by name.
+	req, perr := decodePlacement(body)
+	if perr != nil {
+		badRequest(w, perr)
 		return
 	}
 	single := req.Policy != nil
@@ -93,7 +89,7 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, badParam("policy", "exactly one of policy and policies must be set"))
 		return
 	}
-	decisions, err := s.placements.Place(r.Context(), &req)
+	decisions, err := s.placements.Place(r.Context(), req)
 	if err != nil {
 		if errors.Is(err, ErrInvalidPlacement) {
 			badRequest(w, err)

@@ -94,10 +94,11 @@ func (j *Job) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Job, validating the
-// decoded graph. Unknown fields are rejected: a misspelled key such as
-// "parent" would otherwise drop a precedence edge without a word, and a
-// caller's strict decoder does not reach inside a custom unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler for Job, building the
+// decoded graph through Link. Unknown fields are rejected: a misspelled
+// key such as "parent" would otherwise drop a precedence edge without a
+// word, and a caller's strict decoder does not reach inside a custom
+// unmarshaler.
 func (j *Job) UnmarshalJSON(data []byte) error {
 	var in jobJSON
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -106,24 +107,39 @@ func (j *Job) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	decoded := Job{ID: in.ID, Name: in.Name, Arrival: in.Arrival, Class: in.Class}
-	for i, s := range in.Stages {
+	for _, s := range in.Stages {
 		decoded.Stages = append(decoded.Stages, &Stage{
-			ID: i, Name: s.Name, NumTasks: s.NumTasks, TaskDuration: s.TaskDuration,
-			Parents: append([]int(nil), s.Parents...),
+			Name: s.Name, NumTasks: s.NumTasks, TaskDuration: s.TaskDuration, Parents: s.Parents,
 		})
 	}
-	// Rebuild child edges from parent lists.
-	for _, s := range decoded.Stages {
-		for _, p := range s.Parents {
-			if p < 0 || p >= len(decoded.Stages) {
-				return fmt.Errorf("%w: stage %d parent %d", ErrBadEdge, s.ID, p)
-			}
-			decoded.Stages[p].Children = append(decoded.Stages[p].Children, s.ID)
-		}
-	}
-	if err := decoded.Validate(); err != nil {
+	if err := decoded.Link(); err != nil {
 		return err
 	}
 	*j = decoded
 	return nil
+}
+
+// Link completes a job read from its serialized form, whose stages
+// carry their own fields and parent edges only: it numbers the stages
+// densely in slice order, rebuilds every child edge from the parent
+// lists (a parent outside the job is ErrBadEdge), and validates the
+// graph. An empty parent list becomes nil. Every decoder that reads a
+// Job from JSON builds it through Link, UnmarshalJSON included, so the
+// wire form has one construction rule.
+func (j *Job) Link() error {
+	for i, s := range j.Stages {
+		s.ID = i
+		if len(s.Parents) == 0 {
+			s.Parents = nil
+		}
+	}
+	for _, s := range j.Stages {
+		for _, p := range s.Parents {
+			if p < 0 || p >= len(j.Stages) {
+				return fmt.Errorf("%w: stage %d parent %d", ErrBadEdge, s.ID, p)
+			}
+			j.Stages[p].Children = append(j.Stages[p].Children, s.ID)
+		}
+	}
+	return j.Validate()
 }

@@ -253,6 +253,14 @@ func TestPlacementHandlerRejects(t *testing.T) {
 			http.StatusBadRequest, "snapshot.jobs[0].stages[0].dispatched"},
 		{"zero executors", mutated(func(s *sim.Snapshot) { s.NumExecutors = 0 }),
 			http.StatusBadRequest, "snapshot.num_executors"},
+		{"trailing garbage", append(req(carbonapi.PlacementRequest{Policy: &sched.Spec{Kind: "fifo"}, Snapshot: snap}), " trailing garbage"...),
+			http.StatusBadRequest, "body: trailing data"},
+		{"trailing second object", append(req(carbonapi.PlacementRequest{Policy: &sched.Spec{Kind: "fifo"}, Snapshot: snap}), `{"x":1}`...),
+			http.StatusBadRequest, "body: trailing data"},
+		{"repeated policy", append([]byte(`{"policy":{"kind":"cap","b":3,"inner":{"kind":"decima"}},"policy":{"kind":"cap"},"snapshot":`), append(snapJSON, '}')...),
+			http.StatusBadRequest, `policy: repeated field "policy"`},
+		{"case-folded twin policy", append([]byte(`{"policy":{"kind":"fifo"},"POLICY":{"kind":"decima"},"snapshot":`), append(snapJSON, '}')...),
+			http.StatusBadRequest, `policy: repeated field "POLICY"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

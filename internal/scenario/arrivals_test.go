@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,5 +128,34 @@ func TestRunCSVSchedule(t *testing.T) {
 	}
 	if _, err := prog.Run(Env{Fast: true}); err == nil || !strings.Contains(err.Error(), "workload.arrivals.csv") {
 		t.Fatalf("missing file error = %v", err)
+	}
+}
+
+// TestRunAtDurationCeiling: knobs at arrivals.MaxDurationSec still run,
+// and the artifact encodes (past the ceiling, a run overflowed to NaN
+// that no encoder writes).
+func TestRunAtDurationCeiling(t *testing.T) {
+	ceiling := arrivals.MaxDurationSec
+	for name, w := range map[string]WorkloadSpec{
+		"mean_interarrival_sec": {Mix: "tpch", Jobs: 4, MeanInterarrivalSec: &ceiling},
+		"arrivals.rps":          {Mix: "tpch", Jobs: 4, Arrivals: &ArrivalsSpec{Kind: "constant", RPS: 1 / ceiling}},
+	} {
+		spec := Spec{
+			Name: "ceiling", Grids: []string{"DE"}, Workload: w,
+			Baseline: &PolicySpec{Kind: "fifo"},
+			Policies: []PolicySpec{{Kind: "pcaps"}},
+			Engine:   &EngineSpec{MoveDelaySec: ceiling},
+		}
+		prog, err := Compile(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		art, err := prog.Run(Env{Fast: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := json.Marshal(art); err != nil {
+			t.Fatalf("%s: encoding the artifact: %v", name, err)
+		}
 	}
 }

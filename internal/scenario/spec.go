@@ -442,6 +442,9 @@ func (s *Spec) Validate() error {
 		if e.MoveDelaySec < 0 {
 			return fieldErr("engine.move_delay_sec", "negative hand-off delay %v s", e.MoveDelaySec)
 		}
+		if e.MoveDelaySec > arrivals.MaxDurationSec {
+			return fieldErr("engine.move_delay_sec", "hand-off delay %v s exceeds the ceiling of %v s", e.MoveDelaySec, arrivals.MaxDurationSec)
+		}
 		if e.Stream && (s.Sweep != nil || s.Federation != nil) {
 			// Sweeps and federations lean on batch replay (common-prefix
 			// groups, per-member routing of one materialized batch); the
@@ -529,6 +532,9 @@ func (s *Spec) validateWorkload() error {
 		}
 		if *m <= 0 || math.IsNaN(*m) || math.IsInf(*m, 0) {
 			return fieldErr("workload.mean_interarrival_sec", "interarrival %v is not positive (omit the field for the 30 s default)", *m)
+		}
+		if *m > arrivals.MaxDurationSec {
+			return fieldErr("workload.mean_interarrival_sec", "interarrival %v s exceeds the ceiling of %v s", *m, arrivals.MaxDurationSec)
 		}
 	}
 	return s.validateArrivals()

@@ -215,6 +215,20 @@ func TestValidateRejects(t *testing.T) {
 			zero := 0.0
 			s.Workload.Arrivals = &ArrivalsSpec{Kind: "poisson", MeanSec: &zero}
 		}, []string{"workload.arrivals.mean_sec", "not positive"}},
+		{"interarrival past the ceiling", func(s *Spec) {
+			huge := 1e308
+			s.Workload.MeanInterarrivalSec = &huge
+		}, []string{"workload.mean_interarrival_sec", "exceeds the ceiling"}},
+		{"mean_sec past the ceiling", func(s *Spec) {
+			huge := 1e308
+			s.Workload.Arrivals = &ArrivalsSpec{Kind: "poisson", MeanSec: &huge}
+		}, []string{"workload.arrivals.mean_sec", "exceeds the ceiling"}},
+		{"constant rate below the ceiling's", func(s *Spec) {
+			s.Workload.Arrivals = &ArrivalsSpec{Kind: "constant", RPS: 1e-308}
+		}, []string{"workload.arrivals.rps", "ceiling"}},
+		{"move delay past the ceiling", func(s *Spec) {
+			s.Engine = &EngineSpec{MoveDelaySec: 1e308}
+		}, []string{"engine.move_delay_sec", "exceeds the ceiling"}},
 		{"mix alongside classes", func(s *Spec) {
 			s.Workload.Classes = []ClassSpec{{Name: "a", Mix: "tpch", Weight: 1}}
 		}, []string{"workload.mix", "mutually exclusive"}},
