@@ -133,6 +133,12 @@ func run() int {
 			return 2
 		}
 	}
+	if *parallel < 0 {
+		// Like the other negative knobs, a negative worker count means
+		// nothing; it would otherwise run at GOMAXPROCS unannounced.
+		fmt.Fprintf(os.Stderr, "pcapsim: -parallel %d is negative; pass 0 (GOMAXPROCS) or a worker count\n", *parallel)
+		return 2
+	}
 	if *seed == 0 {
 		// Options reads a zero seed as "use the default", so -seed 0
 		// would silently print the -seed 42 run.

@@ -56,3 +56,21 @@ func TestSeedZeroRejected(t *testing.T) {
 		t.Fatalf("-seed 7: exit %d, stdout %q", code, stdout)
 	}
 }
+
+// TestNegativeParallelRejected: a negative -parallel is a usage error
+// naming the flag, for artifact and scenario runs alike, before anything
+// runs.
+func TestNegativeParallelRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table1", "-fast", "-parallel", "-4"},
+		{"-scenario", "../../examples/scenarios/minimal.json", "-fast", "-parallel", "-4"},
+	} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 2 || !strings.Contains(stderr, "-parallel") {
+			t.Fatalf("%v: exit %d, stderr %q: want exit 2 naming -parallel", args, code, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("%v: rejected run printed %q", args, stdout)
+		}
+	}
+}

@@ -77,6 +77,8 @@ func (o Options) validate() error {
 		return fmt.Errorf("experiments: negative trial count %d", o.Trials)
 	case o.Jobs < 0:
 		return fmt.Errorf("experiments: negative batch size %d", o.Jobs)
+	case o.Parallel < 0:
+		return fmt.Errorf("experiments: negative parallelism %d", o.Parallel)
 	}
 	known := map[string]bool{}
 	var names []string

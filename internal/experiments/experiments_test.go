@@ -203,6 +203,25 @@ func TestRunRejectsUnknownGrid(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeKnobs: zero selects each knob's default, and a
+// negative value means nothing, so it is an error before any simulation
+// starts — not, as a negative Parallel once was, a silent GOMAXPROCS.
+func TestRunRejectsNegativeKnobs(t *testing.T) {
+	for _, c := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{Fast: true, Seed: -5}, "negative seed -5"},
+		{Options{Fast: true, Seed: 42, Trials: -1}, "negative trial count -1"},
+		{Options{Fast: true, Seed: 42, Jobs: -3}, "negative batch size -3"},
+		{Options{Fast: true, Seed: 42, Parallel: -4}, "negative parallelism -4"},
+	} {
+		if _, err := Run("table1", c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%+v: want %q, got: %v", c.opt, c.want, err)
+		}
+	}
+}
+
 // TestRunRejectsDuplicateGrids: a repeated grid (e.g. -grids DE,DE) used
 // to silently run the grid twice through some runners' cell matrices,
 // doubling its weight in cross-grid averages; it is now a validation

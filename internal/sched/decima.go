@@ -76,43 +76,29 @@ func (d *Decima) Name() string { return "Decima" }
 //
 //pcaps:hotpath
 func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
-	all := c.Runnable()
-	runnable := d.refs[:0]
-	for _, r := range all {
-		if r.Stage.Running < d.PlannedLimit(c, r) {
-			runnable = append(runnable, r)
-		}
-	}
-	d.refs = runnable
-	if len(runnable) == 0 {
-		return nil, nil
-	}
-	// Normalizers across the runnable set. The view is job-major, so
-	// per-job remaining work is computed once per group boundary and
-	// recorded per ref (d.jobRemain parallels runnable).
+	// The view is job-major, so the per-job inputs — remaining work, the
+	// work-derived grant and the critical-path vector — are read once at
+	// each job boundary. Every kept ref records its job's remaining work
+	// (d.jobRemain) and its normalized critical path (scores, until the
+	// SRPT term joins it below).
+	runnable, remains, scores := d.refs[:0], d.jobRemain[:0], d.scores[:0]
 	maxRemain := 0.0
-	d.jobRemain = d.jobRemain[:0]
-	var lastJob *sim.JobRun
-	var lastRemain float64
-	for _, r := range runnable {
+	var (
+		lastJob   *sim.JobRun
+		jobRemain float64
+		grant     int
+		cp        []float64
+	)
+	for _, r := range c.Runnable() {
 		if r.Job != lastJob {
 			lastJob = r.Job
-			lastRemain = r.Job.RemainingWork()
-			if lastRemain > maxRemain {
-				maxRemain = lastRemain
-			}
+			jobRemain = r.Job.RemainingWork()
+			grant = workDerivedCap(c, jobRemain)
+			cp = d.cp.get(r.Job)
 		}
-		d.jobRemain = append(d.jobRemain, lastRemain)
-	}
-	if cap(d.scores) < len(runnable) {
-		//hot:alloc one-time scratch growth to the runnable high-water mark
-		d.scores = make([]float64, len(runnable))
-	}
-	scores := d.scores[:len(runnable)]
-	maxScore := math.Inf(-1)
-	for i, r := range runnable {
-		cp := d.cp.get(r.Job)
-		jobRemain := d.jobRemain[i]
+		if r.Stage.Running >= plannedLimit(r.Stage, grant) {
+			continue
+		}
 		cpNorm := 0.0
 		if jobRemain > 0 {
 			cpNorm = cp[r.Stage.Stage.ID] / jobRemain
@@ -120,9 +106,22 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 				cpNorm = 1
 			}
 		}
+		if jobRemain > maxRemain {
+			maxRemain = jobRemain
+		}
+		runnable = append(runnable, r)
+		remains = append(remains, jobRemain)
+		scores = append(scores, cpNorm)
+	}
+	d.refs, d.jobRemain, d.scores = runnable, remains, scores
+	if len(runnable) == 0 {
+		return nil, nil
+	}
+	maxScore := math.Inf(-1)
+	for i, cpNorm := range scores {
 		srptNorm := 0.0
 		if maxRemain > 0 {
-			srptNorm = jobRemain / maxRemain
+			srptNorm = remains[i] / maxRemain
 		}
 		scores[i] = (decimaCPWeight*cpNorm - decimaSRPTWeight*srptNorm) / decimaTemperature
 		if scores[i] > maxScore {
@@ -183,32 +182,21 @@ func workDerivedCap(c *sim.Cluster, remaining float64) int {
 //
 //pcaps:hotpath
 func (d *Decima) PlannedLimit(c *sim.Cluster, ref sim.StageRef) int {
-	limit := ref.Stage.RemainingTasks() + ref.Stage.Running
-	if cap := workDerivedCap(c, ref.Job.RemainingWork()); limit > cap {
-		limit = cap
+	return plannedLimit(ref.Stage, workDerivedCap(c, ref.Job.RemainingWork()))
+}
+
+// plannedLimit is PlannedLimit for a stage whose job's grant is known.
+//
+//pcaps:hotpath
+func plannedLimit(st *sim.StageRun, grant int) int {
+	limit := st.RemainingTasks() + st.Running
+	if limit > grant {
+		limit = grant
 	}
 	if limit < 1 {
 		limit = 1
 	}
 	return limit
-}
-
-// Sample draws an index from the probability vector.
-//
-//pcaps:hotpath
-func (d *Decima) Sample(probs []float64) int {
-	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(d.Seed))
-	}
-	x := d.rng.Float64()
-	var cum float64
-	for i, p := range probs {
-		cum += p
-		if x < cum {
-			return i
-		}
-	}
-	return len(probs) - 1
 }
 
 // Pick implements sim.Scheduler: sample a stage from the distribution and
@@ -220,7 +208,10 @@ func (d *Decima) Pick(c *sim.Cluster) sim.Decision {
 	if len(refs) == 0 {
 		return sim.DeferDecision
 	}
-	v := d.Sample(probs)
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.Seed))
+	}
+	v := sampleIndex(d.rng, probs)
 	return sim.Decision{Ref: refs[v], Limit: d.PlannedLimit(c, refs[v])}
 }
 

@@ -252,6 +252,8 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 	cloneJobs := func(jobs []*JobRun) []*JobRun {
 		out := make([]*JobRun, len(jobs))
 		for i, j := range jobs {
+			// The copy keeps the record's memoized remaining work, which
+			// sums the stage records copied below.
 			nj := &JobRun{}
 			*nj = *j
 			nj.Stages = make([]*StageRun, len(j.Stages))

@@ -15,7 +15,10 @@ import (
 // checkBookkeeping recomputes by brute force, over all executors and
 // active jobs, what the cluster's incremental state claims: the free
 // set, the reserved-idle set, the runnable-job and hold-ready counts,
-// and each job's executor count, whose sum is the active count.
+// each job's executor count, whose sum is the active count, and each
+// job's memoized remaining work, which must equal the sum over its
+// stages bit for bit. A streamed job that completed in this step and
+// awaits retirement must report no remaining work.
 func checkBookkeeping(t testing.TB, c *Cluster) {
 	t.Helper()
 	var idle, reservedIdle []int
@@ -51,6 +54,18 @@ func checkBookkeeping(t testing.TB, c *Cluster) {
 			t.Fatalf("t=%v: job %d counts %d executors, %d are bound to or held by it", c.Now(), j.Job.ID, j.Executors, attributed[j])
 		}
 		executors += j.Executors
+		var remaining float64
+		for _, st := range j.Stages {
+			remaining += float64(st.Stage.NumTasks-st.Completed) * st.Stage.TaskDuration
+		}
+		if got := j.RemainingWork(); got != remaining {
+			t.Fatalf("t=%v: job %d remaining work %v, its stages sum to %v", c.Now(), j.Job.ID, got, remaining)
+		}
+	}
+	for _, j := range c.doneScratch {
+		if got := j.RemainingWork(); got != 0 {
+			t.Fatalf("t=%v: completed job %d reports %v remaining work", c.Now(), j.Job.ID, got)
+		}
 	}
 	if c.runnableJobs != runnable || c.holdReadyCount != holdReady {
 		t.Fatalf("t=%v: runnableJobs %d holdReadyCount %d, jobs say %d and %d", c.Now(), c.runnableJobs, c.holdReadyCount, runnable, holdReady)
@@ -153,8 +168,8 @@ func TestBookkeepingAtEveryPick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.picks == 0 {
-			t.Fatalf("hold=%v: RunStream made no Pick", hold)
+		if s.picks == 0 || res.Stream.RecycledRuns == 0 {
+			t.Fatalf("hold=%v: RunStream made %d Picks and recycled %d records; fixture too small", hold, s.picks, res.Stream.RecycledRuns)
 		}
 		checkCarbonAttribution(t, res)
 

@@ -17,7 +17,8 @@
 // jobs with runnable work, all updated only at the transitions that can
 // change them — job arrival, task dispatch, stage finish, hold expiry,
 // and job completion. The Runnable/ActiveJobs/OutstandingWork accessors
-// are epoch-cached views over that state, so the repeated Pick calls
+// are epoch-cached views over that state, and each job's RemainingWork
+// is memoized until its next task completion, so the repeated Pick calls
 // within one scheduling event cost no allocations and no full-state
 // rescans.
 package sim
@@ -171,6 +172,12 @@ type JobRun struct {
 	// count returns to zero, and it only rises again at a stage finish,
 	// hold, or arrival transition).
 	ready, holdReady bool
+	// remaining memoizes RemainingWork while remainingOK is set.
+	// completeTask, the only write to a stage's Completed once the run is
+	// built, clears remainingOK; a record built by newCluster,
+	// runPool.acquire or Snapshot.Restore starts with it clear.
+	remaining   float64
+	remainingOK bool
 }
 
 // Generation returns the recycle count of this runtime record (always 0
@@ -180,13 +187,19 @@ type JobRun struct {
 func (j *JobRun) Generation() int { return j.gen }
 
 // RemainingWork returns the job's undone work in executor-seconds,
-// counting both undispatched and in-flight tasks.
+// counting both undispatched and in-flight tasks. The sum is kept until
+// the job's next task completion, so repeated calls cost O(1).
+//
+//pcaps:hotpath
 func (j *JobRun) RemainingWork() float64 {
-	var w float64
-	for _, s := range j.Stages {
-		w += float64(s.Stage.NumTasks-s.Completed) * s.Stage.TaskDuration
+	if !j.remainingOK {
+		var w float64
+		for _, s := range j.Stages {
+			w += float64(s.Stage.NumTasks-s.Completed) * s.Stage.TaskDuration
+		}
+		j.remaining, j.remainingOK = w, true
 	}
-	return w
+	return j.remaining
 }
 
 // StageRef identifies a runnable stage to a scheduler.
@@ -1011,6 +1024,7 @@ func (c *Cluster) completeTask(e *executor) {
 		return
 	}
 	st.Completed++
+	j.remainingOK = false
 	c.invalidate()
 	if st.Completed == st.Stage.NumTasks {
 		c.finishStage(j, st)
