@@ -429,9 +429,7 @@ func BenchmarkTOpt(b *testing.B) {
 	inst := benchInstance()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		local := inst
-		local.Job = inst.Job.Clone()
-		if _, err := optimal.TOpt(local); err != nil {
+		if _, err := optimal.TOpt(inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,9 +441,7 @@ func BenchmarkCOpt(b *testing.B) {
 	inst := benchInstance()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		local := inst
-		local.Job = inst.Job.Clone()
-		if _, err := optimal.COpt(local); err != nil {
+		if _, err := optimal.COpt(inst); err != nil {
 			b.Fatal(err)
 		}
 	}

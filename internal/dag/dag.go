@@ -6,11 +6,16 @@
 // u → v means stage v cannot start until stage u has completed. The package
 // provides construction, validation, topological utilities, and the
 // critical-path computations the schedulers rely on.
+//
+// Only the constructors, Builder.Build and Job.Link, write a job's edge
+// lists; everything else, Validate included, only reads a job, so one job
+// may serve any number of runs at once.
 package dag
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,7 +33,8 @@ type Stage struct {
 	// experiment time on one executor. Must be > 0.
 	TaskDuration float64
 	// Parents and Children are stage IDs of direct predecessors and
-	// successors. They are kept sorted and deduplicated by Validate.
+	// successors, strictly ascending: Builder.Build and Job.Link sort and
+	// deduplicate them, and Validate rejects a list that is not.
 	Parents  []int
 	Children []int
 }
@@ -58,14 +64,15 @@ var (
 	ErrCyclic        = errors.New("dag: job graph contains a cycle")
 	ErrBadStageID    = errors.New("dag: stage IDs must be dense 0..n-1")
 	ErrBadEdge       = errors.New("dag: edge references unknown stage")
+	ErrUnsortedEdges = errors.New("dag: edge list is not strictly ascending")
 	ErrBadTasks      = errors.New("dag: stage must have at least one task")
 	ErrBadDuration   = errors.New("dag: task duration must be positive")
 	ErrAsymmetricDAG = errors.New("dag: parent/child lists are inconsistent")
 )
 
 // Validate checks structural invariants: dense IDs, positive task counts
-// and durations, edges referencing valid stages, parent/child symmetry,
-// and acyclicity. It also normalizes (sorts, dedups) edge lists in place.
+// and durations, strictly ascending edge lists referencing valid stages,
+// parent/child symmetry, and acyclicity. It only reads the job.
 func (j *Job) Validate() error {
 	if len(j.Stages) == 0 {
 		return ErrEmptyJob
@@ -81,27 +88,21 @@ func (j *Job) Validate() error {
 		if s.TaskDuration <= 0 {
 			return fmt.Errorf("%w: stage %d", ErrBadDuration, i)
 		}
-		s.Parents = normalize(s.Parents)
-		s.Children = normalize(s.Children)
-		for _, p := range s.Parents {
-			if p < 0 || p >= n {
-				return fmt.Errorf("%w: stage %d parent %d", ErrBadEdge, i, p)
-			}
+		if k, err := checkEdges(s.Parents, n); err != nil {
+			return fmt.Errorf("%w: stage %d parent %d", err, i, s.Parents[k])
 		}
-		for _, c := range s.Children {
-			if c < 0 || c >= n {
-				return fmt.Errorf("%w: stage %d child %d", ErrBadEdge, i, c)
-			}
+		if k, err := checkEdges(s.Children, n); err != nil {
+			return fmt.Errorf("%w: stage %d child %d", err, i, s.Children[k])
 		}
 	}
 	for _, s := range j.Stages {
 		for _, p := range s.Parents {
-			if !contains(j.Stages[p].Children, s.ID) {
+			if _, ok := slices.BinarySearch(j.Stages[p].Children, s.ID); !ok {
 				return fmt.Errorf("%w: %d→%d", ErrAsymmetricDAG, p, s.ID)
 			}
 		}
 		for _, c := range s.Children {
-			if !contains(j.Stages[c].Parents, s.ID) {
+			if _, ok := slices.BinarySearch(j.Stages[c].Parents, s.ID); !ok {
 				return fmt.Errorf("%w: %d→%d", ErrAsymmetricDAG, s.ID, c)
 			}
 		}
@@ -112,27 +113,26 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-func normalize(ids []int) []int {
-	if len(ids) == 0 {
-		return ids
-	}
-	sort.Ints(ids)
-	out := ids[:1]
-	for _, v := range ids[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
+// checkEdges checks that an edge list of a job with n stages names only
+// stages of the job, in strictly ascending order, and returns the index
+// of the first entry that breaks either rule.
+func checkEdges(ids []int, n int) (int, error) {
+	for k, v := range ids {
+		if v < 0 || v >= n {
+			return k, ErrBadEdge
+		}
+		if k > 0 && v <= ids[k-1] {
+			return k, ErrUnsortedEdges
 		}
 	}
-	return out
+	return 0, nil
 }
 
-func contains(ids []int, v int) bool {
-	for _, x := range ids {
-		if x == v {
-			return true
-		}
-	}
-	return false
+// normalize sorts and deduplicates an edge list in place; only the
+// constructors call it, on lists they own.
+func normalize(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // TopoOrder returns the stage IDs in a topological order (Kahn's
@@ -268,48 +268,6 @@ func (j *Job) CriticalPathLength() float64 {
 	return best
 }
 
-// Descendants returns the set of stages reachable from stage id
-// (excluding id itself), as a boolean slice indexed by stage ID.
-func (j *Job) Descendants(id int) []bool {
-	seen := make([]bool, len(j.Stages))
-	stack := append([]int(nil), j.Stages[id].Children...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		stack = append(stack, j.Stages[v].Children...)
-	}
-	return seen
-}
-
-// NumDescendants returns the number of stages reachable from stage id.
-func (j *Job) NumDescendants(id int) int {
-	n := 0
-	for _, b := range j.Descendants(id) {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns a deep copy of the job. Runtime layers mutate scheduling
-// state but never the DAG itself; Clone exists so that generators can hand
-// the same template to multiple experiments safely.
-func (j *Job) Clone() *Job {
-	c := &Job{ID: j.ID, Name: j.Name, Arrival: j.Arrival, Class: j.Class, Stages: make([]*Stage, len(j.Stages))}
-	for i, s := range j.Stages {
-		ns := *s
-		ns.Parents = append([]int(nil), s.Parents...)
-		ns.Children = append([]int(nil), s.Children...)
-		c.Stages[i] = &ns
-	}
-	return c
-}
-
 // Builder incrementally assembles a valid Job. It exists so generators and
 // tests can declare DAG shape without hand-maintaining symmetric edge lists.
 type Builder struct {
@@ -345,8 +303,13 @@ func (b *Builder) Chain(ids ...int) *Builder {
 	return b
 }
 
-// Build validates and returns the job.
+// Build sorts and deduplicates every stage's edge lists, then validates
+// and returns the job.
 func (b *Builder) Build() (*Job, error) {
+	for _, s := range b.job.Stages {
+		s.Parents = normalize(s.Parents)
+		s.Children = normalize(s.Children)
+	}
 	if err := b.job.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,65 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
-	"strings"
 )
-
-// WriteDOT renders the job as a Graphviz digraph: one node per stage
-// labeled "name (tasks×duration)", one edge per precedence constraint.
-// Critical-path stages are highlighted, mirroring the bottleneck framing
-// of the paper's figures.
-func (j *Job) WriteDOT(w io.Writer) error {
-	cp := j.CriticalPathDown()
-	maxCP := 0.0
-	for _, v := range cp {
-		if v > maxCP {
-			maxCP = v
-		}
-	}
-	// The critical chain: walk from the max-cp root, always following
-	// the child with the largest remaining critical path.
-	onChain := make([]bool, len(j.Stages))
-	cur := -1
-	for _, r := range j.Roots() {
-		if cur < 0 || cp[r] > cp[cur] {
-			cur = r
-		}
-	}
-	for cur >= 0 {
-		onChain[cur] = true
-		next := -1
-		for _, c := range j.Stages[cur].Children {
-			if next < 0 || cp[c] > cp[next] {
-				next = c
-			}
-		}
-		cur = next
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=box];\n", j.Name)
-	for _, s := range j.Stages {
-		label := s.Name
-		if label == "" {
-			label = fmt.Sprintf("s%d", s.ID)
-		}
-		attrs := ""
-		if onChain[s.ID] {
-			attrs = ", style=filled, fillcolor=lightcoral"
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"%s\\n%d×%.1fs\"%s];\n", s.ID, label, s.NumTasks, s.TaskDuration, attrs)
-	}
-	for _, s := range j.Stages {
-		for _, c := range s.Children {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", s.ID, c)
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
 
 // jobJSON is the serialized form of a Job. Only parent edges are stored;
 // children are reconstructed on load.
@@ -85,10 +27,8 @@ type stageJSON struct {
 func (j *Job) MarshalJSON() ([]byte, error) {
 	out := jobJSON{ID: j.ID, Name: j.Name, Arrival: j.Arrival, Class: j.Class}
 	for _, s := range j.Stages {
-		parents := append([]int(nil), s.Parents...)
-		sort.Ints(parents)
 		out.Stages = append(out.Stages, stageJSON{
-			Name: s.Name, NumTasks: s.NumTasks, TaskDuration: s.TaskDuration, Parents: parents,
+			Name: s.Name, NumTasks: s.NumTasks, TaskDuration: s.TaskDuration, Parents: s.Parents,
 		})
 	}
 	return json.Marshal(out)
@@ -121,23 +61,27 @@ func (j *Job) UnmarshalJSON(data []byte) error {
 
 // Link completes a job read from its serialized form, whose stages
 // carry their own fields and parent edges only: it numbers the stages
-// densely in slice order, rebuilds every child edge from the parent
-// lists (a parent outside the job is ErrBadEdge), and validates the
-// graph. An empty parent list becomes nil. Every decoder that reads a
-// Job from JSON builds it through Link, UnmarshalJSON included, so the
-// wire form has one construction rule.
+// densely in slice order, sorts and deduplicates each parent list,
+// rebuilds every child edge from the parent lists (a parent outside the
+// job is ErrBadEdge), and validates the graph. An empty parent list
+// becomes nil. Every decoder that reads a Job from JSON builds it
+// through Link, UnmarshalJSON included, so the wire form has one
+// construction rule.
 func (j *Job) Link() error {
 	for i, s := range j.Stages {
 		s.ID = i
+		for _, p := range s.Parents {
+			if p < 0 || p >= len(j.Stages) {
+				return fmt.Errorf("%w: stage %d parent %d", ErrBadEdge, i, p)
+			}
+		}
+		s.Parents = normalize(s.Parents)
 		if len(s.Parents) == 0 {
 			s.Parents = nil
 		}
 	}
 	for _, s := range j.Stages {
 		for _, p := range s.Parents {
-			if p < 0 || p >= len(j.Stages) {
-				return fmt.Errorf("%w: stage %d parent %d", ErrBadEdge, s.ID, p)
-			}
 			j.Stages[p].Children = append(j.Stages[p].Children, s.ID)
 		}
 	}

@@ -3,32 +3,11 @@ package dag
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestWriteDOT(t *testing.T) {
-	j := diamond(t)
-	var b strings.Builder
-	if err := j.WriteDOT(&b); err != nil {
-		t.Fatal(err)
-	}
-	dot := b.String()
-	for _, needle := range []string{
-		"digraph", "rankdir=LR", "n0 -> n1", "n0 -> n2", "n1 -> n3", "n2 -> n3",
-		"4×10.0s", "lightcoral",
-	} {
-		if !strings.Contains(dot, needle) {
-			t.Fatalf("DOT missing %q:\n%s", needle, dot)
-		}
-	}
-	// The diamond's critical chain is 0 → 1 → 3 (left branch is longer):
-	// exactly three highlighted nodes.
-	if got := strings.Count(dot, "lightcoral"); got != 3 {
-		t.Fatalf("highlighted %d nodes, want 3:\n%s", got, dot)
-	}
-}
 
 func TestJSONRoundTrip(t *testing.T) {
 	j := diamond(t)
@@ -52,6 +31,27 @@ func TestJSONRoundTrip(t *testing.T) {
 	for i := range order1 {
 		if order1[i] != order2[i] {
 			t.Fatalf("topo order changed: %v vs %v", order1, order2)
+		}
+	}
+}
+
+// TestLinkNormalizesParents pins that the wire constructor sorts and
+// deduplicates parent lists and derives sorted children from them.
+func TestLinkNormalizesParents(t *testing.T) {
+	raw := `{"id":0,"stages":[
+		{"num_tasks":1,"task_duration_sec":1},
+		{"num_tasks":1,"task_duration_sec":1},
+		{"num_tasks":1,"task_duration_sec":1,"parents":[1]},
+		{"num_tasks":1,"task_duration_sec":1,"parents":[2,0,0]}]}`
+	var j Job
+	if err := json.Unmarshal([]byte(raw), &j); err != nil {
+		t.Fatal(err)
+	}
+	wantParents := [][]int{nil, nil, {1}, {0, 2}}
+	wantChildren := [][]int{{3}, {2}, {3}, nil}
+	for i, s := range j.Stages {
+		if !slices.Equal(s.Parents, wantParents[i]) || !slices.Equal(s.Children, wantChildren[i]) {
+			t.Errorf("stage %d: parents %v children %v, want %v %v", i, s.Parents, s.Children, wantParents[i], wantChildren[i])
 		}
 	}
 }

@@ -182,9 +182,7 @@ func fig1(opt Options) (*result.Artifact, error) {
 
 	// The four policies are independent solves; T-OPT and C-OPT are the
 	// expensive searches, so fanning them out over the pool roughly
-	// halves the artifact's wall-clock. Each solver gets a private clone
-	// of the job because optimal's validation normalizes edge lists in
-	// place.
+	// halves the artifact's wall-clock.
 	solvers := []func(optimal.Instance) (*optimal.Schedule, error){
 		optimal.ListSchedule,
 		optimal.TOpt,
@@ -194,9 +192,7 @@ func fig1(opt Options) (*result.Artifact, error) {
 	scheds := make([]*optimal.Schedule, len(solvers))
 	errs := make([]error, len(solvers))
 	opt.pool.ForEach(len(solvers), func(i int) {
-		local := inst
-		local.Job = inst.Job.Clone()
-		scheds[i], errs[i] = solvers[i](local)
+		scheds[i], errs[i] = solvers[i](inst)
 	})
 	for _, err := range errs {
 		if err != nil {

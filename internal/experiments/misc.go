@@ -70,15 +70,17 @@ func sparkline(vals []float64) string {
 	return b.String()
 }
 
-// occupancyStrip renders per-interval busy executor counts as digits.
-func occupancyStrip(res *sim.Result, interval float64, k int, upTo int) string {
+// occupancyStrip renders per-interval busy executors as digits 1-9 (·
+// for 0): an interval averaging occ busy executors shows occ/div*mul,
+// rounded and capped at 9.
+func occupancyStrip(res *sim.Result, interval, div, mul float64, upTo int) string {
 	var b strings.Builder
 	for i := 0; i < upTo; i++ {
 		occ := 0.0
 		if i < len(res.Usage) {
 			occ = res.Usage[i] / interval
 		}
-		d := int(occ + 0.5)
+		d := int(occ/div*mul + 0.5)
 		if d > 9 {
 			d = 9
 		}
@@ -121,7 +123,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 	for i, name := range names {
 		r := results[i]
 		t.Row(result.Str(name),
-			result.Str(occupancyStrip(r, tr.Interval, 5, hours)),
+			result.Str(occupancyStrip(r, tr.Interval, 1, 1, hours)),
 			result.Float(r.CarbonGrams), result.Float(r.ECT),
 			result.Str(dominantJobStrip(r, hours)))
 	}
@@ -294,7 +296,7 @@ func fig15(opt Options) (*result.Artifact, error) {
 	a := result.New()
 	strip := func(name string, r *sim.Result) {
 		a.Textf("%-10s busy |%s| (0-9 ≈ 0-100 executors)\n", name,
-			scaledOccupancy(r, tr.Interval, hours))
+			occupancyStrip(r, tr.Interval, 100, 9, hours))
 		sys := jobsInSystem(jobs, r, tr.Interval, hours)
 		var sb strings.Builder
 		for _, v := range sys {
@@ -325,26 +327,4 @@ func fig15(opt Options) (*result.Artifact, error) {
 		result.Float(metrics.PercentChange(proto.AvgJCT, fifo.AvgJCT)), result.Str("−22.1%"))
 	a.Add(t)
 	return a, nil
-}
-
-// scaledOccupancy renders busy executors on a 0-9 scale of the cluster
-// size (100 executors).
-func scaledOccupancy(res *sim.Result, interval float64, upTo int) string {
-	var b strings.Builder
-	for i := 0; i < upTo; i++ {
-		occ := 0.0
-		if i < len(res.Usage) {
-			occ = res.Usage[i] / interval
-		}
-		d := int(occ/100*9 + 0.5)
-		if d > 9 {
-			d = 9
-		}
-		if d == 0 {
-			b.WriteString("·")
-		} else {
-			fmt.Fprintf(&b, "%d", d)
-		}
-	}
-	return b.String()
 }

@@ -193,8 +193,8 @@ func effectiveParallelism(cfg sim.Config) int {
 // Run routes the jobs and simulates every member cluster. Jobs are routed
 // in arrival order (ties broken by input position); each member cluster
 // then runs the engine over its share with a derived seed. Input jobs are
-// templates shared across runs — the engine clones them — so the same
-// batch can be fed to several routers for comparison.
+// only read, so the same batch can be fed to several routers for
+// comparison.
 func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	if err := f.validate(); err != nil {
 		return nil, err

@@ -13,6 +13,22 @@ import (
 // only change when the (L, U) forecast changes.
 type boundsKey struct{ l, u float64 }
 
+// windowKey reads the cluster's forecast window and clamps it to what
+// the threshold constructors accept: L ≤ 0 becomes 1e-3, and U < L
+// becomes L.
+//
+//pcaps:hotpath
+func windowKey(c *sim.Cluster) boundsKey {
+	l, u := c.CarbonBounds()
+	if l <= 0 {
+		l = 1e-3
+	}
+	if u < l {
+		u = l
+	}
+	return boundsKey{l, u}
+}
+
 // CAPWrap applies CAP (§4.2) on top of any carbon-agnostic scheduler: a
 // quota r(t) from the k-search thresholds gates new executor assignments
 // (no preemption), and the inner scheduler's parallelism limit is scaled
@@ -49,14 +65,7 @@ func (w *CAPWrap) MinQuotaSeen() int { return w.minQuota }
 
 // provisioner returns the CAP instance for the current forecast window.
 func (w *CAPWrap) provisioner(c *sim.Cluster) *core.CAP {
-	l, u := c.CarbonBounds()
-	if l <= 0 {
-		l = 1e-3
-	}
-	if u < l {
-		u = l
-	}
-	key := boundsKey{l, u}
+	key := windowKey(c)
 	if p, ok := w.caps[key]; ok {
 		return p
 	}
@@ -67,10 +76,10 @@ func (w *CAPWrap) provisioner(c *sim.Cluster) *core.CAP {
 	if b > c.K() {
 		b = c.K()
 	}
-	p, err := core.NewCAP(c.K(), b, l, u)
+	p, err := core.NewCAP(c.K(), b, key.l, key.u)
 	if err != nil {
-		// Inputs are sanitized above; treat failure as carbon-agnostic.
-		p, _ = core.NewCAP(c.K(), c.K(), l, u)
+		// windowKey sanitizes the bounds; treat failure as carbon-agnostic.
+		p, _ = core.NewCAP(c.K(), c.K(), key.l, key.u)
 	}
 	w.caps[key] = p
 	return p
@@ -169,20 +178,13 @@ func (p *PCAPS) Name() string { return "PCAPS" }
 
 // psi returns the threshold function for the current forecast window.
 func (p *PCAPS) psi(c *sim.Cluster) *core.Psi {
-	l, u := c.CarbonBounds()
-	if l <= 0 {
-		l = 1e-3
-	}
-	if u < l {
-		u = l
-	}
-	key := boundsKey{l, u}
+	key := windowKey(c)
 	if ps, ok := p.psis[key]; ok {
 		return ps
 	}
-	ps, err := core.NewPsi(p.Gamma, l, u)
+	ps, err := core.NewPsi(p.Gamma, key.l, key.u)
 	if err != nil {
-		ps, _ = core.NewPsi(0, l, u) // sanitized inputs; fall back to agnostic
+		ps, _ = core.NewPsi(0, key.l, key.u) // sanitized inputs; fall back to agnostic
 	}
 	p.psis[key] = ps
 	return ps

@@ -216,7 +216,7 @@ func (r *replay) Pick(c *Cluster) Decision {
 // part of the trajectory; events name executors by ID, so they copy
 // as they are), the usage timeline and the per-job results so far.
 // Immutable structure is shared: *dag.Job and *dag.Stage are never
-// mutated after validation, and the carbon trace is read-only. The
+// mutated after construction, and the carbon trace is read-only. The
 // returned maps translate master JobRun and StageRun pointers to their
 // clones (for remapping in-flight decision refs). The cluster RNG is
 // rebuilt from the seed — forkable() guarantees it was never drawn from.

@@ -504,8 +504,9 @@ type Result struct {
 }
 
 // Run simulates the batch of jobs under the scheduler until every job
-// completes, returning the run summary. Jobs are deep-copied so templates
-// can be reused across runs. The batch need not be sorted by arrival.
+// completes, returning the run summary. The jobs are only read, so one
+// batch may feed any number of runs. The batch need not be sorted by
+// arrival.
 func Run(cfg Config, jobs []*dag.Job, s Scheduler) (*Result, error) {
 	c, err := newCluster(cfg, jobs)
 	if err != nil {
@@ -519,8 +520,8 @@ func Run(cfg Config, jobs []*dag.Job, s Scheduler) (*Result, error) {
 
 // newCluster validates the configuration and builds the initial cluster
 // state: executors in the free pool, the first carbon-boundary event,
-// and the batch's jobs, cloned, validated and queued for admission by
-// arrival with ties in batch order. RunStream passes no jobs.
+// and the batch's jobs, validated and queued for admission by arrival
+// with ties in batch order. RunStream passes no jobs.
 func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 	if cfg.Trace == nil {
 		return nil, errors.New("sim: config requires a carbon trace")
@@ -558,14 +559,9 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 		c.jobUsage = make([][]float64, len(jobs))
 	}
 	c.pending = make([]*JobRun, len(jobs))
-	for idx, tpl := range jobs {
-		// Clone before validating: Validate normalizes edge lists in
-		// place, and templates are shared by concurrent runs (the
-		// experiment engine fans cells out over a worker pool), so the
-		// shared template must only ever be read.
-		j := tpl.Clone()
+	for idx, j := range jobs {
 		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: job %d: %w", tpl.ID, err)
+			return nil, fmt.Errorf("sim: job %d: %w", j.ID, err)
 		}
 		run := &JobRun{Job: j, Stages: make([]*StageRun, len(j.Stages)), index: idx}
 		for i, st := range j.Stages {
@@ -635,8 +631,8 @@ func (c *Cluster) nextJob() *dag.Job {
 }
 
 // admit activates the next job at its arrival time. A batch job was
-// cloned and validated by newCluster; a streamed job is checked here and
-// takes a pooled JobRun.
+// validated by newCluster; a streamed job is checked here and takes a
+// pooled JobRun.
 func (c *Cluster) admit() error {
 	var jr *JobRun
 	if st := c.stream; st != nil {

@@ -348,6 +348,71 @@ func TestJobTemplatesNotMutated(t *testing.T) {
 	}
 }
 
+// jobRecorder is a work-conserving scheduler that records every job DAG
+// it is shown. It takes the first runnable stage, or the last when last
+// is set, so two recorders in one RunGroup diverge and fork.
+type jobRecorder struct {
+	last bool
+	seen map[*dag.Job]bool
+}
+
+func (r *jobRecorder) Name() string { return "recorder" }
+
+func (r *jobRecorder) Pick(c *Cluster) Decision {
+	for _, j := range c.ActiveJobs() {
+		r.seen[j.Job] = true
+	}
+	rs := c.Runnable()
+	if len(rs) == 0 {
+		return DeferDecision
+	}
+	if r.last {
+		return Decision{Ref: rs[len(rs)-1]}
+	}
+	return Decision{Ref: rs[0]}
+}
+
+// TestRunsShareCallerJobs pins that every entry point reads the caller's
+// jobs in place: the scheduler sees exactly the *dag.Job pointers of the
+// batch, never copies. (The scheduler observes rather than an Observer,
+// which RunStream rejects and which stops RunGroup from forking.)
+func TestRunsShareCallerJobs(t *testing.T) {
+	jobs := make([]*dag.Job, 6)
+	for i := range jobs {
+		jobs[i] = chainJob(t, i, 10, 20)
+		jobs[i].Arrival = float64(i) * 5
+	}
+	rec := func(last bool) *jobRecorder { return &jobRecorder{last: last, seen: map[*dag.Job]bool{}} }
+	check := func(entry string, recs ...*jobRecorder) {
+		t.Helper()
+		for _, r := range recs {
+			if len(r.seen) != len(jobs) {
+				t.Errorf("%s: scheduler saw %d distinct DAGs for %d jobs", entry, len(r.seen), len(jobs))
+			}
+			for _, j := range jobs {
+				if !r.seen[j] {
+					t.Errorf("%s: job %d was shown as a copy", entry, j.ID)
+				}
+			}
+		}
+	}
+	r := rec(false)
+	if _, err := Run(cfg(t, 2), jobs, r); err != nil {
+		t.Fatal(err)
+	}
+	check("Run", r)
+	first, last := rec(false), rec(true)
+	if _, err := RunGroup(cfg(t, 2), jobs, []Scheduler{first, last}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunGroup", first, last)
+	r = rec(false)
+	if _, err := RunStream(cfg(t, 2), &SliceSource{Jobs: jobs}, r); err != nil {
+		t.Fatal(err)
+	}
+	check("RunStream", r)
+}
+
 func TestMaxNewBoundsBinding(t *testing.T) {
 	// A scheduler that allows only 1 new executor per decision still
 	// completes, but the first wave starts with fewer executors.

@@ -90,9 +90,8 @@ type ExecutorSnapshot struct {
 }
 
 // Snapshot exports the scheduler-visible cluster state. It is
-// read-only: the returned snapshot owns copies of the mutable state
-// (stage counters, trace values) and shares only the immutable job
-// DAGs, so it stays valid after the simulation moves on.
+// read-only: the returned snapshot copies the stage counters and
+// executor states, so it stays valid after the simulation moves on.
 func (c *Cluster) Snapshot() *Snapshot {
 	tr := c.cfg.Trace
 	lo, hi := c.CarbonBounds()
@@ -107,7 +106,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 		Carbon: CarbonSnapshot{
 			Grid:               tr.Grid,
 			IntervalSec:        tr.Interval,
-			Values:             append([]float64(nil), tr.Values...),
+			Values:             tr.Values,
 			ForecastHorizonSec: horizon,
 			ForecastLow:        lo,
 			ForecastHigh:       hi,
@@ -159,8 +158,7 @@ func (f frozenBounds) Bounds(*carbon.Trace, float64, float64) (lo, hi float64) {
 // Restore rebuilds a cluster in the snapshot's state, validating every
 // field (errors name the offending field by JSON path). The cluster
 // supports the scheduler view API and Place/Pick; it is not resumable
-// as a simulation (no pending events). The snapshot's job DAGs are
-// cloned, so the snapshot may be reused or mutated afterwards.
+// as a simulation (no pending events).
 func (s *Snapshot) Restore() (*Cluster, error) {
 	if s.NumExecutors < 1 {
 		return nil, snapErr("num_executors", "need at least one executor, got %d", s.NumExecutors)
@@ -171,7 +169,7 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 	if math.IsNaN(s.TimeSec) || math.IsInf(s.TimeSec, 0) || s.TimeSec < 0 {
 		return nil, snapErr("time_sec", "bad capture time %v", s.TimeSec)
 	}
-	tr, err := carbon.New(s.Carbon.Grid, s.Carbon.IntervalSec, append([]float64(nil), s.Carbon.Values...))
+	tr, err := carbon.New(s.Carbon.Grid, s.Carbon.IntervalSec, s.Carbon.Values)
 	if err != nil {
 		return nil, snapErr("carbon", "%v", err)
 	}
@@ -204,7 +202,7 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		if js.DAG == nil {
 			return nil, snapErr(fmt.Sprintf("jobs[%d].dag", i), "missing job DAG")
 		}
-		job := js.DAG.Clone()
+		job := js.DAG
 		if err := job.Validate(); err != nil {
 			return nil, snapErr(fmt.Sprintf("jobs[%d].dag", i), "%v", err)
 		}

@@ -15,7 +15,7 @@ import (
 // midRunSnapshot runs a short simulation and captures a snapshot at the
 // n-th scheduling event with work in flight, so the snapshot exercises
 // busy executors, partial stages, and multiple active jobs.
-func midRunSnapshot(t *testing.T, seed int64, n int) *Snapshot {
+func midRunSnapshot(t testing.TB, seed int64, n int) *Snapshot {
 	t.Helper()
 	jobs, err := workload.Generate(workload.GenConfig{N: 8, Arrivals: arrivals.Poisson{MeanSec: 20}, Mix: workload.MixBoth, Seed: seed})
 	if err != nil {
@@ -119,45 +119,47 @@ func TestSnapshotRestoreViews(t *testing.T) {
 	}
 }
 
+// restoreRejects mutates a valid snapshot into one Restore must reject,
+// with the JSON path the error must name.
+var restoreRejects = []struct {
+	name   string
+	mutate func(*Snapshot)
+	field  string
+}{
+	{"no executors", func(s *Snapshot) { s.NumExecutors = 0 }, "snapshot.num_executors"},
+	{"negative cap", func(s *Snapshot) { s.PerJobCap = -1 }, "snapshot.per_job_cap"},
+	{"negative time", func(s *Snapshot) { s.TimeSec = -4 }, "snapshot.time_sec"},
+	{"empty trace", func(s *Snapshot) { s.Carbon.Values = nil }, "snapshot.carbon"},
+	{"inverted bounds", func(s *Snapshot) { s.Carbon.ForecastLow = 9; s.Carbon.ForecastHigh = 1 }, "snapshot.carbon.forecast_low"},
+	{"executor count mismatch", func(s *Snapshot) { s.Executors = s.Executors[:len(s.Executors)-1] }, "snapshot.executors"},
+	{"missing dag", func(s *Snapshot) { s.Jobs[0].DAG = nil }, "snapshot.jobs[0].dag"},
+	{"stage count mismatch", func(s *Snapshot) { s.Jobs[0].Stages = s.Jobs[0].Stages[:1] }, "snapshot.jobs[0].stages"},
+	{"overdispatched", func(s *Snapshot) { s.Jobs[0].Stages[0].Dispatched = 1 << 20 }, ".dispatched"},
+	{"broken invariant", func(s *Snapshot) {
+		st := &s.Jobs[0].Stages[0]
+		st.Dispatched = st.Completed + st.Running + 1
+	}, ""}, // lands on .dispatched or .running depending on headroom
+	{"bad executor state", func(s *Snapshot) { s.Executors[0] = ExecutorSnapshot{State: "sleeping"} }, "snapshot.executors[0].state"},
+	{"executor job out of range", func(s *Snapshot) {
+		s.Executors[0] = ExecutorSnapshot{State: ExecBusy, Job: 99, Stage: 0}
+	}, "snapshot.executors[0].job"},
+	{"binding mismatch", func(s *Snapshot) {
+		// Flip one busy executor to idle without fixing Running.
+		for i, e := range s.Executors {
+			if e.State == ExecBusy {
+				s.Executors[i] = ExecutorSnapshot{State: ExecIdle, Job: -1, Stage: -1}
+				return
+			}
+		}
+	}, ".running"},
+}
+
 // TestSnapshotRestoreRejects pins that every malformed field is named by
 // its JSON path — the placement API surfaces these verbatim as 400s.
 func TestSnapshotRestoreRejects(t *testing.T) {
-	base := func(t *testing.T) *Snapshot { return midRunSnapshot(t, 11, 20) }
-	cases := []struct {
-		name   string
-		mutate func(*Snapshot)
-		field  string
-	}{
-		{"no executors", func(s *Snapshot) { s.NumExecutors = 0 }, "snapshot.num_executors"},
-		{"negative cap", func(s *Snapshot) { s.PerJobCap = -1 }, "snapshot.per_job_cap"},
-		{"negative time", func(s *Snapshot) { s.TimeSec = -4 }, "snapshot.time_sec"},
-		{"empty trace", func(s *Snapshot) { s.Carbon.Values = nil }, "snapshot.carbon"},
-		{"inverted bounds", func(s *Snapshot) { s.Carbon.ForecastLow = 9; s.Carbon.ForecastHigh = 1 }, "snapshot.carbon.forecast_low"},
-		{"executor count mismatch", func(s *Snapshot) { s.Executors = s.Executors[:len(s.Executors)-1] }, "snapshot.executors"},
-		{"missing dag", func(s *Snapshot) { s.Jobs[0].DAG = nil }, "snapshot.jobs[0].dag"},
-		{"stage count mismatch", func(s *Snapshot) { s.Jobs[0].Stages = s.Jobs[0].Stages[:1] }, "snapshot.jobs[0].stages"},
-		{"overdispatched", func(s *Snapshot) { s.Jobs[0].Stages[0].Dispatched = 1 << 20 }, ".dispatched"},
-		{"broken invariant", func(s *Snapshot) {
-			st := &s.Jobs[0].Stages[0]
-			st.Dispatched = st.Completed + st.Running + 1
-		}, ""}, // lands on .dispatched or .running depending on headroom
-		{"bad executor state", func(s *Snapshot) { s.Executors[0] = ExecutorSnapshot{State: "sleeping"} }, "snapshot.executors[0].state"},
-		{"executor job out of range", func(s *Snapshot) {
-			s.Executors[0] = ExecutorSnapshot{State: ExecBusy, Job: 99, Stage: 0}
-		}, "snapshot.executors[0].job"},
-		{"binding mismatch", func(s *Snapshot) {
-			// Flip one busy executor to idle without fixing Running.
-			for i, e := range s.Executors {
-				if e.State == ExecBusy {
-					s.Executors[i] = ExecutorSnapshot{State: ExecIdle, Job: -1, Stage: -1}
-					return
-				}
-			}
-		}, ".running"},
-	}
-	for _, tc := range cases {
+	for _, tc := range restoreRejects {
 		t.Run(tc.name, func(t *testing.T) {
-			s := base(t)
+			s := midRunSnapshot(t, 11, 20)
 			tc.mutate(s)
 			_, err := s.Restore()
 			if err == nil {
@@ -168,6 +170,68 @@ func TestSnapshotRestoreRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreSharesSnapshotInputs pins that Restore builds on the
+// snapshot's own job DAGs and trace values, and that Snapshot hands the
+// trace values on the same way.
+func TestRestoreSharesSnapshotInputs(t *testing.T) {
+	snap := midRunSnapshot(t, 5, 30)
+	c, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range c.ActiveJobs() {
+		if j.Job != snap.Jobs[i].DAG {
+			t.Errorf("job %d: the restored cluster holds a copy of the snapshot's DAG", i)
+		}
+	}
+	if &c.cfg.Trace.Values[0] != &snap.Carbon.Values[0] {
+		t.Error("the restored trace copies the snapshot's values")
+	}
+	if again := c.Snapshot(); &again.Carbon.Values[0] != &snap.Carbon.Values[0] {
+		t.Error("Snapshot copies the trace values")
+	}
+}
+
+// FuzzSnapshotRestore holds Restore to its contract on arbitrary JSON: a
+// decoded snapshot is either rejected with an error, or it restores to a
+// cluster whose own snapshot restores again and exports unchanged.
+// Neither step may panic.
+func FuzzSnapshotRestore(f *testing.F) {
+	add := func(s *Snapshot) {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, seed := range []int64{3, 7, 42} {
+		add(midRunSnapshot(f, seed, 25))
+	}
+	for _, tc := range restoreRejects {
+		s := midRunSnapshot(f, 11, 20)
+		tc.mutate(s)
+		add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		c, err := s.Restore()
+		if err != nil {
+			return
+		}
+		first := c.Snapshot()
+		again, err := first.Restore()
+		if err != nil {
+			t.Fatalf("an exported snapshot does not restore: %v", err)
+		}
+		if second := again.Snapshot(); !reflect.DeepEqual(first, second) {
+			t.Fatalf("export changed across a second restore:\nfirst  %+v\nsecond %+v", first, second)
+		}
+	})
 }
 
 func TestPlaceBindsFreeExecutors(t *testing.T) {

@@ -21,28 +21,25 @@ import (
 )
 
 // JobSource yields the jobs of a run lazily, in non-decreasing Arrival
-// order, returning (nil, nil) when the stream is exhausted. The engine
-// takes ownership of every yielded job (Validate normalizes edge lists
-// in place), so sources must produce fresh jobs, never shared templates.
+// order, returning (nil, nil) when the stream is exhausted.
 // workload.NewSource adapts the seeded generator to this contract.
 type JobSource interface {
 	Next() (*dag.Job, error)
 }
 
-// SliceSource adapts an in-memory batch to the JobSource contract,
-// cloning each job on yield so shared templates stay read-only. The
+// SliceSource adapts an in-memory batch to the JobSource contract. The
 // equivalence tests stream a batch through it to compare with Run.
 type SliceSource struct {
 	Jobs []*dag.Job
 	next int
 }
 
-// Next yields a clone of the next job, or (nil, nil) past the end.
+// Next yields the next job, or (nil, nil) past the end.
 func (s *SliceSource) Next() (*dag.Job, error) {
 	if s.next >= len(s.Jobs) {
 		return nil, nil
 	}
-	j := s.Jobs[s.next].Clone()
+	j := s.Jobs[s.next]
 	s.next++
 	return j, nil
 }
