@@ -1,7 +1,7 @@
 // Package carbon provides the time-varying carbon-intensity substrate the
 // paper's schedulers consume: trace storage and lookup, short-term forecast
-// bounds (the L and U of §2.1), grid statistics (Table 1), a green/brown
-// decomposition for the GreenHadoop baseline, and synthetic generators
+// bounds (the L and U of §2.1), grid statistics (Table 1), the local solar
+// signal the GreenHadoop baseline schedules against, and synthetic generators
 // calibrated to the six power grids of §6.1 (PJM, CAISO, ON, DE, NSW, ZA).
 //
 // Real deployments would read Electricity Maps or WattTime; this package is
@@ -114,32 +114,6 @@ func (t *Trace) Slice(fromSec, durSec float64) *Trace {
 	return &Trace{Grid: t.Grid, Interval: t.Interval, Values: t.Values[i0:i1]}
 }
 
-// Integrate returns ∫ c(t)·rate(t) dt over [fromSec, toSec] where rate is a
-// piecewise-constant function sampled at interval boundaries (rate is
-// queried once per overlapped interval, at its beginning). It is the
-// primitive behind ex post facto carbon accounting (§5.2): with rate(t) =
-// busy executors and executor power normalized to 1 kW, the result divided
-// by 3600 is gCO2eq.
-func (t *Trace) Integrate(fromSec, toSec float64, rate func(sec float64) float64) float64 {
-	if toSec <= fromSec {
-		return 0
-	}
-	var total float64
-	cur := fromSec
-	for cur < toSec {
-		next := t.NextChange(cur)
-		if next > toSec {
-			next = toSec
-		}
-		total += t.At(cur) * rate(cur) * (next - cur)
-		if math.IsInf(next, 1) {
-			break
-		}
-		cur = next
-	}
-	return total
-}
-
 // Stats summarizes a trace the way Table 1 does.
 type Stats struct {
 	Min, Max, Mean, Std, CoeffVar float64
@@ -170,22 +144,6 @@ func (t *Trace) Stats() Stats {
 		s.CoeffVar = s.Std / s.Mean
 	}
 	return s
-}
-
-// GreenFraction estimates the fraction of grid capacity powered by
-// carbon-free generation at time sec. GreenHadoop (the adapted baseline,
-// Appendix A.1.1) consumes this signal. Because the synthetic traces do not
-// carry an explicit generation mix, we use the standard proxy that
-// renewable availability moves inversely with carbon intensity between the
-// grid's observed extremes over the forecast window.
-func (t *Trace) GreenFraction(sec float64) float64 {
-	// ±48 samples ≈ ±48 grid-hours, the paper's forecast horizon.
-	lo, hi := t.Bounds(sec-48*t.Interval, 96*t.Interval)
-	if hi <= lo {
-		return 0
-	}
-	g := (hi - t.At(sec)) / (hi - lo)
-	return math.Min(1, math.Max(0, g))
 }
 
 // SolarFraction models the availability of a co-located solar array as a

@@ -98,36 +98,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestIntegrateConstantRate(t *testing.T) {
-	tr := mustTrace(t, 100, 200)
-	got := tr.Integrate(0, 120, func(float64) float64 { return 2 })
-	want := 2 * (100*60 + 200*60.0)
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("Integrate = %v, want %v", got, want)
-	}
-}
-
-func TestIntegratePartialIntervals(t *testing.T) {
-	tr := mustTrace(t, 100, 200)
-	got := tr.Integrate(30, 90, func(float64) float64 { return 1 })
-	want := 100*30 + 200*30.0
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("Integrate = %v, want %v", got, want)
-	}
-	if got := tr.Integrate(50, 50, nil); got != 0 {
-		t.Fatalf("empty Integrate = %v", got)
-	}
-}
-
-func TestIntegrateBeyondTraceEnd(t *testing.T) {
-	tr := mustTrace(t, 100)
-	got := tr.Integrate(0, 600, func(float64) float64 { return 1 })
-	want := 100 * 600.0
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("Integrate past end = %v, want %v", got, want)
-	}
-}
-
 func TestStats(t *testing.T) {
 	tr := mustTrace(t, 100, 200, 300, 400)
 	s := tr.Stats()
@@ -228,34 +198,6 @@ func TestSortedNames(t *testing.T) {
 	}
 }
 
-func TestGreenFractionRange(t *testing.T) {
-	spec, _ := GridByName("CAISO")
-	tr := Synthesize(spec, 1000, 60, 3)
-	for sec := 0.0; sec < tr.Duration(); sec += 600 {
-		g := tr.GreenFraction(sec)
-		if g < 0 || g > 1 {
-			t.Fatalf("GreenFraction(%v) = %v out of [0,1]", sec, g)
-		}
-	}
-	// Green fraction must be anti-monotone in intensity at fixed window:
-	// the window's min-intensity hour has more green than its max hour.
-	loSec, hiSec := 0.0, 0.0
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for sec := 0.0; sec < 24*60; sec += 60 {
-		v := tr.At(sec)
-		if v < lo {
-			lo, loSec = v, sec
-		}
-		if v > hi {
-			hi, hiSec = v, sec
-		}
-	}
-	if tr.GreenFraction(loSec) <= tr.GreenFraction(hiSec) {
-		t.Fatalf("green fraction not anti-monotone: g(min)=%v g(max)=%v",
-			tr.GreenFraction(loSec), tr.GreenFraction(hiSec))
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := mustTrace(t, 101.5, 202.25, 303)
 	var buf bytes.Buffer
@@ -309,23 +251,6 @@ func TestQuickBoundsContainAt(t *testing.T) {
 			}
 		}
 		return lo <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickIntegrateAdditive(t *testing.T) {
-	spec, _ := GridByName("PJM")
-	tr := Synthesize(spec, 200, 60, 5)
-	one := func(float64) float64 { return 1 }
-	f := func(a, b, c float64) bool {
-		xs := []float64{math.Mod(math.Abs(a), 9000), math.Mod(math.Abs(b), 9000), math.Mod(math.Abs(c), 9000)}
-		lo, mid, hi := math.Min(xs[0], math.Min(xs[1], xs[2])), 0.0, math.Max(xs[0], math.Max(xs[1], xs[2]))
-		mid = xs[0] + xs[1] + xs[2] - lo - hi
-		whole := tr.Integrate(lo, hi, one)
-		parts := tr.Integrate(lo, mid, one) + tr.Integrate(mid, hi, one)
-		return math.Abs(whole-parts) < 1e-6*(1+math.Abs(whole))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

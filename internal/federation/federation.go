@@ -11,8 +11,8 @@
 // motivation — carbon intensity varies hugely across regions and hours —
 // points at cross-region placement as the next lever. This package opens
 // that scenario family on top of the existing substrates: carbon.Trace
-// supplies each region's signal, carbon.Forecaster the (L, U) routing
-// bounds, and internal/sim runs each member cluster unchanged.
+// supplies each region's signal and its (L, U) routing bounds, and
+// internal/sim runs each member cluster unchanged.
 //
 // Determinism rules (see DESIGN.md "Federation layer"): routing is a
 // serial fold over jobs in arrival order, router state is reset at the
@@ -110,12 +110,8 @@ type Federation struct {
 	Clusters []ClusterSpec
 	Router   Router
 	// Signals supplies routing-time intensities and forecast bounds; nil
-	// selects a trace-backed source over the clusters' own traces using
-	// Forecaster.
+	// selects a trace-backed source over the clusters' own traces.
 	Signals Signals
-	// Forecaster shapes the default trace-backed signals; nil selects
-	// the paper's oracle assumption (carbon.Oracle).
-	Forecaster carbon.Forecaster
 	// Seed drives every member simulation (domain-separated per
 	// cluster) and the per-cluster scheduler construction.
 	Seed int64
@@ -215,7 +211,7 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 		for _, c := range f.Clusters {
 			traces[c.Grid] = c.Trace
 		}
-		sig = &TraceSignals{Traces: traces, Forecaster: f.Forecaster}
+		sig = &TraceSignals{Traces: traces}
 	}
 
 	// Route in arrival order, ties broken by input position, so the

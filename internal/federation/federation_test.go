@@ -228,7 +228,8 @@ func TestRunValidation(t *testing.T) {
 
 // TestClientSignalsMatchTraceSignals drives the router through the
 // carbonapi HTTP server and checks the daemon path reproduces the local
-// trace-backed run exactly (the server's forecast is the same oracle).
+// trace-backed run exactly (the server's forecast reads the same
+// trace's window extremes).
 func TestClientSignalsMatchTraceSignals(t *testing.T) {
 	trA := stepTrace(t, "A", []float64{100, 400, 150, 380, 90, 420, 110, 400})
 	trB := stepTrace(t, "B", []float64{300, 120, 280, 110, 320, 100, 300, 130})

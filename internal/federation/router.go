@@ -53,12 +53,12 @@ const DefaultHysteresis = 0.05
 
 // ForecastAware routes on expected carbon over the job's estimated span:
 // each cluster is scored by the midpoint of its forecast (L, U) bounds
-// over [arrival, arrival+span] (carbon.Forecaster supplies the bounds;
-// under the paper's oracle assumption the midpoint is the window's
-// min/max average). A hysteresis margin keeps the router anchored to its
-// previous choice unless a challenger is decisively better, so
-// near-equal grids do not thrash jobs — and executor move-delay and
-// cache warmth with them — back and forth every arrival.
+// over [arrival, arrival+span] (the Signals source supplies the bounds;
+// from a trace, the midpoint is the window's min/max average). A
+// hysteresis margin keeps the router anchored to its previous choice
+// unless a challenger is decisively better, so near-equal grids do not
+// thrash jobs — and executor move-delay and cache warmth with them —
+// back and forth every arrival.
 type ForecastAware struct {
 	// Hysteresis is the relative margin a challenger must clear; zero
 	// selects DefaultHysteresis, negative disables hysteresis.

@@ -19,12 +19,11 @@ type Signals interface {
 }
 
 // TraceSignals reads intensities and bounds straight from local traces —
-// the simulation path, exact and allocation-free.
+// the simulation path, exact and allocation-free. Its bounds are the
+// trace's window extremes, which the paper treats as exact forecasts
+// (§6.1).
 type TraceSignals struct {
 	Traces map[string]*carbon.Trace
-	// Forecaster shapes the bounds; nil selects carbon.Oracle (the
-	// paper's exact-forecast assumption).
-	Forecaster carbon.Forecaster
 }
 
 func (s *TraceSignals) trace(grid string) (*carbon.Trace, error) {
@@ -50,11 +49,7 @@ func (s *TraceSignals) Bounds(grid string, at, horizon float64) (lo, hi float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	f := s.Forecaster
-	if f == nil {
-		f = carbon.Oracle{}
-	}
-	lo, hi = f.Bounds(t, at, horizon)
+	lo, hi = t.Bounds(at, horizon)
 	return lo, hi, nil
 }
 

@@ -9,8 +9,12 @@ import (
 	"pcaps/internal/sim"
 )
 
-// boundsKey caches threshold structures per forecast window; thresholds
-// only change when the (L, U) forecast changes.
+// boundsKey identifies a forecast window. The threshold structures are
+// a pure function of the window (and of K, B or γ, fixed per wrapper),
+// so each wrapper keeps the structure of the last window it saw and
+// rebuilds it when the window changes. The window moves only with the
+// clock, and measured runs never returned to an earlier window, so a
+// cache of every window only ever hit on the last one.
 type boundsKey struct{ l, u float64 }
 
 // windowKey reads the cluster's forecast window and clamps it to what
@@ -48,13 +52,15 @@ type CAPWrap struct {
 	// and the recorded experiment goldens pin it.
 	WorkConserving bool
 
-	caps     map[boundsKey]*core.CAP
+	// prov is the provisioner for window key; nil before the first Pick.
+	key      boundsKey
+	prov     *core.CAP
 	minQuota int
 }
 
 // NewCAP wraps inner with a CAP provisioner using minimum quota b.
 func NewCAP(inner sim.Scheduler, b int) *CAPWrap {
-	return &CAPWrap{Inner: inner, B: b, caps: map[boundsKey]*core.CAP{}, minQuota: math.MaxInt}
+	return &CAPWrap{Inner: inner, B: b, minQuota: math.MaxInt}
 }
 
 // Name implements sim.Scheduler.
@@ -63,11 +69,12 @@ func (w *CAPWrap) Name() string { return fmt.Sprintf("CAP-%s", w.Inner.Name()) }
 // MinQuotaSeen returns M(B,c) over the run (math.MaxInt before any Pick).
 func (w *CAPWrap) MinQuotaSeen() int { return w.minQuota }
 
-// provisioner returns the CAP instance for the current forecast window.
+// provisioner returns the CAP instance for the current forecast window,
+// building it when the window has changed since the last call.
 func (w *CAPWrap) provisioner(c *sim.Cluster) *core.CAP {
 	key := windowKey(c)
-	if p, ok := w.caps[key]; ok {
-		return p
+	if w.prov != nil && w.key == key {
+		return w.prov
 	}
 	b := w.B
 	if b < 1 {
@@ -81,7 +88,7 @@ func (w *CAPWrap) provisioner(c *sim.Cluster) *core.CAP {
 		// windowKey sanitizes the bounds; treat failure as carbon-agnostic.
 		p, _ = core.NewCAP(c.K(), c.K(), key.l, key.u)
 	}
-	w.caps[key] = p
+	w.key, w.prov = key, p
 	return p
 }
 
@@ -164,29 +171,33 @@ type PCAPS struct {
 	// Seed drives stage sampling.
 	Seed int64
 
-	psis map[boundsKey]*core.Psi
-	rng  *rand.Rand
+	// ps is the threshold function for window key; nil before the
+	// first Pick.
+	key boundsKey
+	ps  *core.Psi
+	rng *rand.Rand
 }
 
 // NewPCAPS wraps a probabilistic scheduler with carbon-awareness γ.
 func NewPCAPS(pb Probabilistic, gamma float64, seed int64) *PCAPS {
-	return &PCAPS{PB: pb, Gamma: gamma, Seed: seed, psis: map[boundsKey]*core.Psi{}}
+	return &PCAPS{PB: pb, Gamma: gamma, Seed: seed}
 }
 
 // Name implements sim.Scheduler.
 func (p *PCAPS) Name() string { return "PCAPS" }
 
-// psi returns the threshold function for the current forecast window.
+// psi returns the threshold function for the current forecast window,
+// building it when the window has changed since the last call.
 func (p *PCAPS) psi(c *sim.Cluster) *core.Psi {
 	key := windowKey(c)
-	if ps, ok := p.psis[key]; ok {
-		return ps
+	if p.ps != nil && p.key == key {
+		return p.ps
 	}
 	ps, err := core.NewPsi(p.Gamma, key.l, key.u)
 	if err != nil {
 		ps, _ = core.NewPsi(0, key.l, key.u) // sanitized inputs; fall back to agnostic
 	}
-	p.psis[key] = ps
+	p.key, p.ps = key, ps
 	return ps
 }
 

@@ -400,38 +400,6 @@ func TestWeightedFairAlibaba(t *testing.T) {
 	}
 }
 
-func TestPCAPSUnderRealisticForecasts(t *testing.T) {
-	// Swapping the paper's oracle (L, U) for a history-only persistence
-	// forecast must preserve most of PCAPS's carbon savings — the
-	// robustness premise of §3 ([13]). We compare both against the same
-	// carbon-agnostic baseline.
-	tr := deTrace(t)
-	jobs := tpchBatch(t, 40, 7)
-	k := 100
-	mk := func(fc carbon.Forecaster, s sim.Scheduler) *sim.Result {
-		res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1, Seed: 1,
-			HoldExecutors: true, IdleTimeout: 60, Forecaster: fc}, jobs, s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		return res
-	}
-	base := mk(nil, NewDecima(3))
-	oracle := mk(nil, NewPCAPS(NewDecima(3), 0.5, 3))
-	forecast := mk(carbon.Persistence{Margin: 0.05}, NewPCAPS(NewDecima(3), 0.5, 3))
-	oracleSave := base.CarbonGrams - oracle.CarbonGrams
-	forecastSave := base.CarbonGrams - forecast.CarbonGrams
-	if oracleSave <= 0 {
-		t.Fatalf("oracle PCAPS saved nothing: %v vs %v", oracle.CarbonGrams, base.CarbonGrams)
-	}
-	if forecastSave < 0.5*oracleSave {
-		t.Fatalf("persistence forecast kept only %v of %v oracle savings", forecastSave, oracleSave)
-	}
-	if forecast.ECT > 1.5*oracle.ECT {
-		t.Fatalf("forecast ECT blew up: %v vs %v", forecast.ECT, oracle.ECT)
-	}
-}
-
 func TestPCAPSOverUniformPB(t *testing.T) {
 	// Def 4.1 generality: PCAPS must interoperate with any probabilistic
 	// scheduler. Under a uniform distribution every stage has relative

@@ -45,12 +45,11 @@ func (v *groupVariant) pick(c *Cluster) Decision {
 
 // forkable reports whether a configuration supports lockstep group
 // execution. Failure injection consumes the cluster RNG (whose draw
-// order would interleave across variants), stateful forecasters and
-// observers cannot be cloned, and per-job usage rows are not worth the
-// clone complexity — those configurations fall back to independent runs.
+// order would interleave across variants), observers cannot be cloned,
+// and per-job usage rows are not worth the clone complexity — those
+// configurations fall back to independent runs.
 func forkable(cfg Config) bool {
-	return cfg.FailureRate == 0 &&
-		cfg.Forecaster == nil && cfg.Observer == nil && !cfg.TrackJobUsage
+	return cfg.FailureRate == 0 && cfg.Observer == nil && !cfg.TrackJobUsage
 }
 
 // RunGroup simulates the batch under every scheduler, sharing every
@@ -160,7 +159,7 @@ func (g *group) complete(c *Cluster, d *Decision) {
 		}
 		if i > 0 {
 			// Results must not share mutable backing arrays.
-			c.usage, c.jcts, c.jobCarbon = slices.Clone(c.usage), slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
+			c.usage, c.jcts = slices.Clone(c.usage), slices.Clone(c.jcts)
 		}
 		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
 		v.result, v.err = c.result(v.s.Name())
@@ -289,6 +288,6 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 	n.free, n.reservedIdle = c.free.clone(), c.reservedIdle.clone()
 	n.events = eventHeap{items: slices.Clone(c.events.items), seq: c.events.seq}
 	n.usage = append(make([]float64, 0, cap(c.usage)), c.usage...)
-	n.jcts, n.jobCarbon = slices.Clone(c.jcts), slices.Clone(c.jobCarbon)
+	n.jcts = slices.Clone(c.jcts)
 	return n, jm, sm
 }

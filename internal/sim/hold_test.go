@@ -108,10 +108,11 @@ func TestFinishStageReleasesHeldExecutors(t *testing.T) {
 	if math.Abs(res.JCTs[1]-15) > 1e-9 {
 		t.Fatalf("blocked job JCT = %v, want 15 (held executors not released?)", res.JCTs[1])
 	}
-	// Job 0 pays for the held window: 10 + 2 busy + 8 held exec-s.
-	want := 20 * 300.0 / 3600
-	if math.Abs(res.JobCarbon[0]-want) > 1e-6 {
-		t.Fatalf("job0 carbon = %v, want %v", res.JobCarbon[0], want)
+	// The held window burns carbon: job 0's 10 + 2 busy + 8 held exec-s,
+	// then job 1's 5 busy exec-s.
+	want := 25 * 300.0 / 3600
+	if math.Abs(res.CarbonGrams-want) > 1e-6 {
+		t.Fatalf("CarbonGrams = %v, want %v", res.CarbonGrams, want)
 	}
 }
 

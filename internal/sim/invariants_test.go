@@ -75,16 +75,29 @@ func checkBookkeeping(t testing.TB, c *Cluster) {
 	}
 }
 
-// checkCarbonAttribution demands that the per-job footprints add up to
-// the run's total, which the usage timeline computes independently.
-func checkCarbonAttribution(t testing.TB, res *Result) {
+// checkJobUsage demands that, in every carbon interval, the per-job
+// usage rows add up to the run's usage timeline, which advance
+// accumulates from the active count independently.
+func checkJobUsage(t testing.TB, res *Result) {
 	t.Helper()
-	var sum float64
-	for _, g := range res.JobCarbon {
-		sum += g
+	if len(res.JobUsage) == 0 {
+		t.Fatalf("%s: no per-job usage rows", res.Scheduler)
 	}
-	if math.Abs(sum-res.CarbonGrams) > 1e-9*math.Abs(res.CarbonGrams) {
-		t.Fatalf("%s: per-job carbon sums to %v, run total is %v", res.Scheduler, sum, res.CarbonGrams)
+	for j, row := range res.JobUsage {
+		if len(row) > len(res.Usage) {
+			t.Fatalf("%s: job %d has usage in %d intervals, the timeline in %d", res.Scheduler, j, len(row), len(res.Usage))
+		}
+	}
+	for i, u := range res.Usage {
+		var sum float64
+		for _, row := range res.JobUsage {
+			if i < len(row) {
+				sum += row[i]
+			}
+		}
+		if math.Abs(sum-u) > 1e-9*math.Abs(u) {
+			t.Fatalf("%s: interval %d: per-job usage sums to %v, the timeline has %v", res.Scheduler, i, sum, u)
+		}
 	}
 }
 
@@ -114,7 +127,8 @@ func invariantJobs(t testing.TB, seed int64) []*dag.Job {
 // TestBookkeepingAfterEveryPass checks the incremental state after every
 // pass of Run, in pool and hold mode with a per-job cap, move delay and
 // failure injection, and checks that a snapshot restored from each
-// observed state derives the same counters.
+// observed state derives the same counters. It also checks that the
+// per-job usage rows sum to the usage timeline.
 func TestBookkeepingAfterEveryPass(t *testing.T) {
 	tr := carbon.SynthesizeAll(12, 60, 3)["CAISO"]
 	for _, hold := range []bool{false, true} {
@@ -129,6 +143,7 @@ func TestBookkeepingAfterEveryPass(t *testing.T) {
 				HoldExecutors: hold,
 				IdleTimeout:   8,
 				Seed:          seed,
+				TrackJobUsage: true,
 			}
 			cfg.Observer = func(c *Cluster) {
 				passes++
@@ -149,7 +164,7 @@ func TestBookkeepingAfterEveryPass(t *testing.T) {
 			if passes < 100 || res.TaskRetries == 0 {
 				t.Fatalf("hold=%v seed=%d: %d passes, %d retries; fixture too small", hold, seed, passes, res.TaskRetries)
 			}
-			checkCarbonAttribution(t, res)
+			checkJobUsage(t, res)
 		}
 	}
 }
@@ -171,7 +186,6 @@ func TestBookkeepingAtEveryPick(t *testing.T) {
 		if s.picks == 0 || res.Stream.RecycledRuns == 0 {
 			t.Fatalf("hold=%v: RunStream made %d Picks and recycled %d records; fixture too small", hold, s.picks, res.Stream.RecycledRuns)
 		}
-		checkCarbonAttribution(t, res)
 
 		// greedy and its limited twin share a prefix; the chaos variants
 		// fork off at once.
@@ -182,15 +196,13 @@ func TestBookkeepingAtEveryPick(t *testing.T) {
 		} {
 			scheds = append(scheds, &bookkept{Scheduler: inner, t: t})
 		}
-		results, err := RunGroup(cfg, jobs, scheds)
-		if err != nil {
+		if _, err := RunGroup(cfg, jobs, scheds); err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range results {
-			if scheds[i].(*bookkept).picks == 0 {
+		for i, s := range scheds {
+			if s.(*bookkept).picks == 0 {
 				t.Fatalf("hold=%v: RunGroup variant %d made no Pick", hold, i)
 			}
-			checkCarbonAttribution(t, r)
 		}
 	}
 }

@@ -47,11 +47,6 @@ type Config struct {
 	// uses 48 grid-hours; at the 1-min = 1-h scaling that is 48 samples.
 	// Zero selects 48 trace intervals.
 	ForecastHorizon float64
-	// Forecaster supplies the (L, U) bounds; nil selects the paper's
-	// oracle assumption (exact window extremes). Use
-	// carbon.Persistence to study operation under realistic,
-	// history-only forecasts.
-	Forecaster carbon.Forecaster
 	// MoveDelay is the executor hand-off latency in seconds incurred
 	// when an executor switches to a different job (Spark executor
 	// movement, §5.2). Within-job stage switches are free.
@@ -84,9 +79,8 @@ type Config struct {
 	// MaxEvents bounds the event loop as a hang guard; 0 selects a
 	// generous default.
 	MaxEvents int
-	// PerJobResults makes RunStream keep Result.JCTs and Result.JobCarbon,
-	// whose memory grows with the number of jobs. Run and RunGroup always
-	// keep them.
+	// PerJobResults makes RunStream keep Result.JCTs, whose memory grows
+	// with the number of jobs. Run and RunGroup always keep it.
 	PerJobResults bool
 	// TrackJobUsage additionally records each job's busy
 	// executor-seconds per carbon interval (Result.JobUsage) — the
@@ -142,8 +136,6 @@ type JobRun struct {
 	// Done reports completion; CompletedAt is its timestamp.
 	Done        bool
 	CompletedAt float64
-	// CarbonGrams accumulates the job's attributed carbon footprint.
-	CarbonGrams float64
 
 	// runnable is the incrementally maintained index of this job's
 	// runnable stages (all parents complete, undispatched tasks left),
@@ -328,17 +320,18 @@ type Cluster struct {
 	jobUsage [][]float64
 	// totalWork sums the jobs' work in executor-seconds. Each completed
 	// job folds into ect and sumJCT, and, when perJob is set, into jcts
-	// and jobCarbon at its index.
+	// at its index.
 	totalWork   float64
 	ect, sumJCT float64
 	perJob      bool
 	jcts        []float64
-	jobCarbon   []float64
 
-	// boundsClock/boundsLo/boundsHi cache the oracle CarbonBounds for the
-	// current clock value: CAP-style wrappers query the bounds on every
-	// Pick, several times per scheduling event, and the answer only
-	// changes when the clock moves. boundsClock is NaN when invalid.
+	// boundsClock/boundsLo/boundsHi cache CarbonBounds for the current
+	// clock value: CAP-style wrappers query the bounds on every Pick,
+	// several times per scheduling event, and the answer only changes
+	// when the clock moves. boundsClock is NaN when invalid. Restore
+	// fills the cache with the snapshot's captured bounds; a restored
+	// cluster's clock never moves, so they are its answer.
 	boundsClock        float64
 	boundsLo, boundsHi float64
 }
@@ -349,15 +342,11 @@ func (c *Cluster) Now() float64 { return c.clock }
 // Carbon returns the current carbon intensity.
 func (c *Cluster) Carbon() float64 { return c.cfg.Trace.At(c.clock) }
 
-// CarbonBounds returns the forecast bounds (L, U) over the configured
-// lookahead window starting now, from the configured forecaster (oracle
-// by default, per the paper's assumption).
+// CarbonBounds returns the forecast bounds (L, U): the trace's extremes
+// over the configured lookahead window starting now, which the paper
+// treats as exact (§6.1). A cluster restored from a snapshot answers
+// with the bounds the snapshot captured.
 func (c *Cluster) CarbonBounds() (lo, hi float64) {
-	if c.cfg.Forecaster != nil {
-		// Forecasters may be stateful (history accumulation), so their
-		// answers are never cached.
-		return c.cfg.Forecaster.Bounds(c.cfg.Trace, c.clock, c.cfg.ForecastHorizon)
-	}
 	if c.boundsClock != c.clock {
 		c.boundsLo, c.boundsHi = c.cfg.Trace.Bounds(c.clock, c.cfg.ForecastHorizon)
 		c.boundsClock = c.clock
@@ -480,9 +469,6 @@ type Result struct {
 	// CarbonGrams is the total carbon footprint in gCO2eq assuming 1 kW
 	// per busy executor.
 	CarbonGrams float64
-	// JobCarbon holds each job's attributed footprint in gCO2eq, indexed
-	// as JCTs. Nil for RunStream unless Config.PerJobResults is set.
-	JobCarbon []float64
 	// Usage is busy executor-seconds per carbon interval (the timeline
 	// consumed by core.DecomposeSavings).
 	Usage []float64
@@ -683,13 +669,10 @@ func (c *Cluster) record(j *JobRun) {
 	c.ect = max(c.ect, j.CompletedAt)
 	if c.perJob {
 		for len(c.jcts) <= j.index {
-			//hot:alloc amortized growth of the per-job slices, which RunStream keeps only on request
+			//hot:alloc amortized growth of the per-job JCTs, which RunStream keeps only on request
 			c.jcts = append(c.jcts, 0)
-			//hot:alloc amortized growth of the per-job slices, which RunStream keeps only on request
-			c.jobCarbon = append(c.jobCarbon, 0)
 		}
 		c.jcts[j.index] = jct
-		c.jobCarbon[j.index] = j.CarbonGrams
 	}
 	if st := c.stream; st != nil {
 		st.p50.Add(jct)
@@ -722,7 +705,7 @@ func (c *Cluster) result(name string) (*Result, error) {
 	if c.perJob {
 		// Sum in index order, so the runs that keep per-job results agree
 		// bit for bit whatever order their jobs completed in.
-		res.JCTs, res.JobCarbon, sum = c.jcts, c.jobCarbon, 0
+		res.JCTs, sum = c.jcts, 0
 		for _, jct := range c.jcts {
 			sum += jct
 		}
@@ -826,10 +809,11 @@ func (c *Cluster) insertRunnable(j *JobRun, st *StageRun) {
 }
 
 // advance moves the clock to t, accumulating busy executor-seconds into
-// the per-carbon-interval usage timeline and per-job carbon attribution.
-// A job is charged for the executors it counts in Executors — those
-// running its tasks and those it holds — so attribution walks the active
-// jobs, never the K executors.
+// the per-carbon-interval usage timeline, the one carbon account. With
+// TrackJobUsage it also fills each job's usage row: a job is charged for
+// the executors it counts in Executors — those running its tasks and
+// those it holds — so the rows walk the active jobs, never the K
+// executors.
 func (c *Cluster) advance(t float64) {
 	if t <= c.clock {
 		c.clock = math.Max(c.clock, t)
@@ -849,14 +833,11 @@ func (c *Cluster) advance(t float64) {
 				c.usage = append(c.usage, 0)
 			}
 			c.usage[idx] += float64(c.activeCount) * span
-			grams := tr.At(cur) * span / 3600
-			for _, j := range c.active {
-				if j.Executors == 0 {
-					continue
-				}
-				k := float64(j.Executors)
-				j.CarbonGrams += grams * k
-				if c.jobUsage != nil {
+			if c.jobUsage != nil {
+				for _, j := range c.active {
+					if j.Executors == 0 {
+						continue
+					}
 					row := c.jobUsage[j.index]
 					if row == nil {
 						row = make([]float64, 0, len(tr.Values))
@@ -864,7 +845,7 @@ func (c *Cluster) advance(t float64) {
 					for len(row) <= idx {
 						row = append(row, 0)
 					}
-					row[idx] += span * k
+					row[idx] += span * float64(j.Executors)
 					c.jobUsage[j.index] = row
 				}
 			}

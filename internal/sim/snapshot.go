@@ -38,9 +38,9 @@ type Snapshot struct {
 }
 
 // CarbonSnapshot embeds the carbon trace and the forecast bounds that
-// were in force at capture. The bounds are frozen values rather than a
-// forecaster reference, so a restored cluster reproduces the original
-// forecaster's output — oracle or otherwise — without re-running it.
+// were in force at capture. The bounds are frozen values: a restored
+// cluster answers CarbonBounds with them, not with the embedded trace's
+// window extremes.
 type CarbonSnapshot struct {
 	Grid        string    `json:"grid"`
 	IntervalSec float64   `json:"interval_sec"`
@@ -95,10 +95,6 @@ type ExecutorSnapshot struct {
 func (c *Cluster) Snapshot() *Snapshot {
 	tr := c.cfg.Trace
 	lo, hi := c.CarbonBounds()
-	horizon := c.cfg.ForecastHorizon
-	if horizon <= 0 {
-		horizon = 48 * tr.Interval
-	}
 	s := &Snapshot{
 		TimeSec:      c.clock,
 		NumExecutors: c.cfg.NumExecutors,
@@ -107,7 +103,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Grid:               tr.Grid,
 			IntervalSec:        tr.Interval,
 			Values:             tr.Values,
-			ForecastHorizonSec: horizon,
+			ForecastHorizonSec: c.cfg.ForecastHorizon,
 			ForecastLow:        lo,
 			ForecastHigh:       hi,
 		},
@@ -147,14 +143,6 @@ func snapErr(field, format string, args ...any) error {
 	return fmt.Errorf("sim: snapshot.%s: %s", field, fmt.Sprintf(format, args...))
 }
 
-// frozenBounds replays the forecast captured in a snapshot: a restored
-// cluster must reproduce the original forecaster's (L, U) exactly, and
-// the captured values do that for any forecaster.
-type frozenBounds struct{ lo, hi float64 }
-
-// Bounds implements carbon.Forecaster.
-func (f frozenBounds) Bounds(*carbon.Trace, float64, float64) (lo, hi float64) { return f.lo, f.hi }
-
 // Restore rebuilds a cluster in the snapshot's state, validating every
 // field (errors name the offending field by JSON path). The cluster
 // supports the scheduler view API and Place/Pick; it is not resumable
@@ -185,16 +173,21 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		return nil, snapErr("executors", "%d executor entries for %d executors", len(s.Executors), s.NumExecutors)
 	}
 
+	// The captured bounds fill the CarbonBounds memo at the capture time;
+	// with no events the clock never moves, so the memo is never
+	// recomputed from the trace.
 	c := &Cluster{
 		cfg: Config{
 			NumExecutors:    s.NumExecutors,
 			Trace:           tr,
 			ForecastHorizon: horizon,
-			Forecaster:      frozenBounds{lo, hi},
 			PerJobCap:       s.PerJobCap,
 		},
-		clock: s.TimeSec,
-		epoch: 1,
+		clock:       s.TimeSec,
+		epoch:       1,
+		boundsClock: s.TimeSec,
+		boundsLo:    lo,
+		boundsHi:    hi,
 	}
 	// Field paths are formatted only on the way to an error: a valid
 	// snapshot builds none.

@@ -119,6 +119,34 @@ func TestSnapshotRestoreViews(t *testing.T) {
 	}
 }
 
+// foreignBounds replaces a snapshot's forecast with bounds its trace's
+// window cannot produce, so a restore that read the trace instead of the
+// captured values would show.
+func foreignBounds(s *Snapshot) {
+	s.Carbon.ForecastLow, s.Carbon.ForecastHigh = 1, 10_000
+}
+
+// TestRestoreKeepsCapturedBounds pins that a restored cluster answers
+// CarbonBounds with the snapshot's bounds, not with its trace's window
+// extremes at the capture time, and that its Snapshot exports them.
+func TestRestoreKeepsCapturedBounds(t *testing.T) {
+	snap := midRunSnapshot(t, 9, 30)
+	foreignBounds(snap)
+	c, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := c.cfg.Trace.Bounds(snap.TimeSec, snap.Carbon.ForecastHorizonSec); lo == 1 || hi == 10_000 {
+		t.Fatalf("the trace's window extremes (%v, %v) match the captured bounds; fixture shows nothing", lo, hi)
+	}
+	if lo, hi := c.CarbonBounds(); lo != 1 || hi != 10_000 {
+		t.Fatalf("CarbonBounds() = (%v, %v), want the captured (1, 10000)", lo, hi)
+	}
+	if got := c.Snapshot().Carbon; got.ForecastLow != 1 || got.ForecastHigh != 10_000 {
+		t.Fatalf("Snapshot() exports bounds (%v, %v), want the captured (1, 10000)", got.ForecastLow, got.ForecastHigh)
+	}
+}
+
 // restoreRejects mutates a valid snapshot into one Restore must reject,
 // with the JSON path the error must name.
 var restoreRejects = []struct {
@@ -196,8 +224,8 @@ func TestRestoreSharesSnapshotInputs(t *testing.T) {
 
 // FuzzSnapshotRestore holds Restore to its contract on arbitrary JSON: a
 // decoded snapshot is either rejected with an error, or it restores to a
-// cluster whose own snapshot restores again and exports unchanged.
-// Neither step may panic.
+// cluster that exports the forecast bounds it was given and whose own
+// snapshot restores again and exports unchanged. Neither step may panic.
 func FuzzSnapshotRestore(f *testing.F) {
 	add := func(s *Snapshot) {
 		raw, err := json.Marshal(s)
@@ -209,6 +237,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range []int64{3, 7, 42} {
 		add(midRunSnapshot(f, seed, 25))
 	}
+	foreign := midRunSnapshot(f, 9, 30)
+	foreignBounds(foreign)
+	add(foreign)
 	for _, tc := range restoreRejects {
 		s := midRunSnapshot(f, 11, 20)
 		tc.mutate(s)
@@ -224,6 +255,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return
 		}
 		first := c.Snapshot()
+		if first.Carbon.ForecastLow != s.Carbon.ForecastLow || first.Carbon.ForecastHigh != s.Carbon.ForecastHigh {
+			t.Fatalf("bounds (%v, %v) restored, (%v, %v) exported",
+				s.Carbon.ForecastLow, s.Carbon.ForecastHigh, first.Carbon.ForecastLow, first.Carbon.ForecastHigh)
+		}
 		again, err := first.Restore()
 		if err != nil {
 			t.Fatalf("an exported snapshot does not restore: %v", err)
