@@ -77,6 +77,12 @@ type FilterPCAPS struct {
 	Seed int64
 
 	rng *rand.Rand
+	// ps and psErr are core.NewPsi's answer for the distorted window
+	// (l, u), kept until the window moves; both nil before the first
+	// Pick.
+	l, u  float64
+	ps    *core.Psi
+	psErr error
 }
 
 // Name implements sim.Scheduler.
@@ -104,6 +110,16 @@ func (f *FilterPCAPS) bounds(c *sim.Cluster) (float64, float64) {
 	return l, u
 }
 
+// psi returns core.NewPsi(f.Gamma, l, u), building it only when the
+// distorted window has moved since the last call.
+func (f *FilterPCAPS) psi(l, u float64) (*core.Psi, error) {
+	if f.ps == nil && f.psErr == nil || f.l != l || f.u != u {
+		f.l, f.u = l, u
+		f.ps, f.psErr = core.NewPsi(f.Gamma, l, u)
+	}
+	return f.ps, f.psErr
+}
+
 // threshold evaluates the selected threshold form at importance r.
 func (f *FilterPCAPS) threshold(r, l, u float64) float64 {
 	base := f.Gamma*l + (1-f.Gamma)*u
@@ -116,7 +132,7 @@ func (f *FilterPCAPS) threshold(r, l, u float64) float64 {
 		}
 		return base
 	default:
-		psi, err := core.NewPsi(f.Gamma, l, u)
+		psi, err := f.psi(l, u)
 		if err != nil {
 			return u
 		}
@@ -147,7 +163,7 @@ func (f *FilterPCAPS) Pick(c *sim.Cluster) sim.Decision {
 	planned := f.PB.PlannedLimit(c, refs[v])
 	limit := planned
 	if !f.DisableParallelismScaling {
-		if psi, err := core.NewPsi(f.Gamma, l, u); err == nil {
+		if psi, err := f.psi(l, u); err == nil {
 			limit = psi.ParallelismLimit(planned, c.Carbon())
 		}
 	}

@@ -148,3 +148,20 @@ func TestShapeString(t *testing.T) {
 		t.Fatal("shape names")
 	}
 }
+
+// TestFilterPCAPSAllocatesLikePCAPS checks that the default variant
+// reuses its threshold function across the Picks of one forecast window,
+// as sched.PCAPS does: over a whole run it may allocate only a small
+// fixed amount more than PCAPS, not a threshold function per Pick.
+func TestFilterPCAPSAllocatesLikePCAPS(t *testing.T) {
+	cfg, jobs := setup(t)
+	mallocs := func(mk func() sim.Scheduler) float64 {
+		return testing.AllocsPerRun(1, func() { runOne(t, cfg, jobs, mk()) })
+	}
+	pcaps := mallocs(func() sim.Scheduler { return sched.NewPCAPS(sched.NewDecima(3), 0.5, 3) })
+	filter := mallocs(func() sim.Scheduler { return &FilterPCAPS{PB: sched.NewDecima(3), Gamma: 0.5, Seed: 3} })
+	const slack = 20
+	if filter > pcaps+slack {
+		t.Fatalf("FilterPCAPS run made %v mallocs, sched.PCAPS %v; want at most %d more", filter, pcaps, slack)
+	}
+}

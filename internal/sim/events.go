@@ -13,8 +13,10 @@ const (
 	evHoldExpire
 )
 
-// event is one entry in the simulation's future-event list. Job arrivals
-// are not events: the loop admits jobs from its own queue (Cluster.run).
+// event is one entry in the simulation's future-event list: the event
+// heap for task completions and carbon boundaries, the expiry queue for
+// hold expiries (pushExpiry). Job arrivals are not events: the loop
+// admits jobs from its own queue (Cluster.run).
 // An event holds no pointers — the executor is named by its ID — so it
 // packs into 24 bytes, heap moves need no write barriers, and the
 // collector never scans the heap.
@@ -108,6 +110,85 @@ func (c *Cluster) pop() event {
 		h.items = items
 	}
 	return top
+}
+
+// pushExpiry appends a hold-expiry event to the expiry queue, whose live
+// entries are expiries[expHead:]. holdExecutor pushes every expiry at
+// clock + timeout, an offset fixed for the run from a clock that never
+// moves back, so appending keeps the queue in (at, seq) order. The
+// sequence number comes from the heap's counter: a tie with a heap event
+// resolves in push order, as it did when expiries were heap events.
+// When the backing array is full, the live entries move to its front, or
+// to a new array twice the size when they fill half of it or more.
+//
+//pcaps:hotpath
+func (c *Cluster) pushExpiry(ev event) {
+	ev.seq = c.events.seq
+	c.events.seq++
+	n := len(c.expiries)
+	if n == cap(c.expiries) {
+		size := n
+		if 2*(n-c.expHead) >= size {
+			size = max(2*size, 16)
+		}
+		c.moveExpiries(size)
+		n = len(c.expiries)
+	}
+	c.expiries = c.expiries[:n+1]
+	c.expiries[n] = ev
+}
+
+// queueShrinkMin is the smallest expiry-queue capacity popExpiry will
+// release. A hold-mode run in the paper's environments keeps a few
+// hundred expiries pending, one per hold-dispatched task of the last
+// 60 s, and drains them as it ends; shrinking below this size only made
+// the next fill reallocate (DESIGN.md §2).
+const queueShrinkMin = 8 * heapShrinkMin
+
+// popExpiry removes the expiry queue's head. A large backing array whose
+// live entries fill less than an eighth of it is halved: they then fill
+// less than a quarter, so the queue must double before it grows again,
+// the same 2:1 hysteresis as the heap's shrink.
+//
+//pcaps:hotpath
+func (c *Cluster) popExpiry() event {
+	ev := c.expiries[c.expHead]
+	c.expHead++
+	if cp := cap(c.expiries); cp >= queueShrinkMin && 8*(len(c.expiries)-c.expHead) < cp {
+		c.moveExpiries(cp / 2)
+	}
+	return ev
+}
+
+// moveExpiries moves the expiry queue's live entries to the front of its
+// backing array, or of a new one when size differs from its capacity.
+//
+//pcaps:hotpath
+func (c *Cluster) moveExpiries(size int) {
+	q, live := c.expiries, c.expiries[c.expHead:]
+	if size != cap(q) {
+		//hot:alloc expiry-queue growth and shrink; the 2:1 and 8:1 occupancy bounds amortize both
+		q = make([]event, len(live), size)
+	}
+	c.expiries, c.expHead = q[:copy(q, live)], 0
+}
+
+// nextEvent returns the earliest pending event by (at, seq) — the
+// expiry queue's head or the heap's top — and whether it is the
+// queue's (popExpiry removes it) rather than the heap's (pop); nil when
+// no event is pending. The pointer is valid until the next push or pop.
+//
+//pcaps:hotpath
+func (c *Cluster) nextEvent() (ev *event, expiry bool) {
+	if len(c.events.items) > 0 {
+		ev = &c.events.items[0]
+	}
+	if c.expHead < len(c.expiries) {
+		if head := &c.expiries[c.expHead]; ev == nil || head.before(ev) {
+			return head, true
+		}
+	}
+	return ev, false
 }
 
 // idSet is a set of executor IDs in [0, K), one bit per executor. The

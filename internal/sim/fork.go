@@ -211,9 +211,10 @@ func (r *replay) Pick(c *Cluster) Decision {
 // clone deep-copies the simulation state in memory: executors, the
 // runtime records of the active and pending jobs (completed jobs are
 // referenced by nothing), the held/runnable indexes, both executor ID
-// sets, the event heap (sequence counter preserved — event ordering is
-// part of the trajectory; events name executors by ID, so they copy
-// as they are), the usage timeline and the per-job results so far.
+// sets, the event heap and the expiry queue's live entries (sequence
+// counter preserved — event ordering is part of the trajectory; events
+// name executors by ID, so they copy as they are), the usage timeline
+// and the per-job results so far.
 // Immutable structure is shared: *dag.Job and *dag.Stage are never
 // mutated after construction, and the carbon trace is read-only. The
 // returned maps translate master JobRun and StageRun pointers to their
@@ -287,6 +288,7 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 	}
 	n.free, n.reservedIdle = c.free.clone(), c.reservedIdle.clone()
 	n.events = eventHeap{items: slices.Clone(c.events.items), seq: c.events.seq}
+	n.expiries = append(make([]event, 0, cap(c.expiries)), c.expiries[c.expHead:]...)
 	n.usage = append(make([]float64, 0, cap(c.usage)), c.usage...)
 	n.jcts = slices.Clone(c.jcts)
 	return n, jm, sm

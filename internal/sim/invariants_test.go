@@ -18,7 +18,8 @@ import (
 // each job's executor count, whose sum is the active count, and each
 // job's memoized remaining work, which must equal the sum over its
 // stages bit for bit. A streamed job that completed in this step and
-// awaits retirement must report no remaining work.
+// awaits retirement must report no remaining work. It also checks the
+// event list (checkEvents).
 func checkBookkeeping(t testing.TB, c *Cluster) {
 	t.Helper()
 	var idle, reservedIdle []int
@@ -73,6 +74,43 @@ func checkBookkeeping(t testing.TB, c *Cluster) {
 	if executors != c.activeCount {
 		t.Fatalf("t=%v: jobs count %d executors, activeCount is %d", c.Now(), executors, c.activeCount)
 	}
+	checkEvents(t, c, reservedIdle)
+}
+
+// checkEvents checks the two sources of the future-event list: the
+// expiry queue's live entries are hold expiries in strictly increasing
+// (at, seq) order, none before the clock; the heap holds no hold expiry;
+// and, in a cluster with pending events and an idle timeout, each
+// reserved-idle executor has an expiry queued at its holdExpire. A
+// restored cluster holds executors but has no events.
+func checkEvents(t testing.TB, c *Cluster, reservedIdle []int) {
+	t.Helper()
+	type expiry struct {
+		exec int32
+		at   float64
+	}
+	live := c.expiries[c.expHead:]
+	queued := make(map[expiry]bool, len(live))
+	for i := range live {
+		ev := &live[i]
+		if ev.kind != evHoldExpire || ev.at < c.clock || i > 0 && !live[i-1].before(ev) {
+			t.Fatalf("t=%v: expiry queue entry %d of %d is %+v (previous %+v)", c.Now(), i, len(live), *ev, live[max(i-1, 0)])
+		}
+		queued[expiry{ev.exec, ev.at}] = true
+	}
+	for _, ev := range c.events.items {
+		if ev.kind == evHoldExpire {
+			t.Fatalf("t=%v: hold expiry %+v in the event heap", c.Now(), ev)
+		}
+	}
+	if c.events.Len() == 0 && len(live) == 0 || c.cfg.IdleTimeout < 0 {
+		return
+	}
+	for _, id := range reservedIdle {
+		if e := c.execs[id]; !queued[expiry{int32(id), e.holdExpire}] {
+			t.Fatalf("t=%v: reserved-idle executor %d has no expiry queued at %v", c.Now(), id, e.holdExpire)
+		}
+	}
 }
 
 // checkJobUsage demands that, in every carbon interval, the per-job
@@ -101,7 +139,8 @@ func checkJobUsage(t testing.TB, res *Result) {
 	}
 }
 
-// bookkept wraps a scheduler, checking the bookkeeping at every Pick.
+// bookkept wraps a scheduler, checking the bookkeeping at every Pick,
+// of the cluster and of a clone of it (the state RunGroup forks onto).
 type bookkept struct {
 	Scheduler
 	t     testing.TB
@@ -110,6 +149,8 @@ type bookkept struct {
 
 func (b *bookkept) Pick(c *Cluster) Decision {
 	checkBookkeeping(b.t, c)
+	n, _, _ := c.clone()
+	checkBookkeeping(b.t, n)
 	b.picks++
 	return b.Scheduler.Pick(c)
 }
@@ -169,9 +210,10 @@ func TestBookkeepingAfterEveryPass(t *testing.T) {
 	}
 }
 
-// TestBookkeepingAtEveryPick checks the incremental state at every Pick
-// of RunStream and of every RunGroup variant — those attached to the
-// shared state and those forked off it — in pool and hold mode.
+// TestBookkeepingAtEveryPick checks the incremental state, and that of a
+// clone of it, at every Pick of RunStream and of every RunGroup variant —
+// those attached to the shared state and those forked off it — in pool
+// and hold mode.
 func TestBookkeepingAtEveryPick(t *testing.T) {
 	tr := carbon.SynthesizeAll(12, 60, 3)["DE"]
 	for _, hold := range []bool{false, true} {

@@ -254,11 +254,17 @@ type executor struct {
 
 // Cluster is the simulation state exposed to schedulers.
 type Cluster struct {
-	cfg    Config
-	clock  float64
-	execs  []*executor
-	events eventHeap
-	rng    *rand.Rand
+	cfg   Config
+	clock float64
+	execs []*executor
+	// The future-event list has two sources (DESIGN.md §2): the heap
+	// holds task completions and the carbon boundary, and the expiry
+	// queue, expiries[expHead:], holds hold expiries, created already in
+	// (at, seq) order (pushExpiry). nextEvent merges them.
+	events   eventHeap
+	expiries []event
+	expHead  int
+	rng      *rand.Rand
 	// busyCount counts executors running a task; activeCount adds the
 	// executors a job merely holds (HoldExecutors mode). Carbon and
 	// quota decisions see activeCount — held executors burn power.
@@ -563,13 +569,14 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 // run drives the one event loop of Run, RunStream and RunGroup until
 // every job has completed or nothing is left to happen. Each step is an
 // admission when the next job arrives no later than the earliest pending
-// event — at a tie the job comes first — and otherwise that event; a
-// scheduling pass follows every step.
+// event (nextEvent) — at a tie the job comes first — and otherwise that
+// event; a scheduling pass follows every step.
 func (c *Cluster) run(s Scheduler) error {
 	for c.unfinished() || c.busyCount > 0 {
 		next := c.nextJob()
-		admit := next != nil && (c.events.Len() == 0 || next.Arrival <= c.events.items[0].at)
-		if !admit && c.events.Len() == 0 {
+		first, expiry := c.nextEvent()
+		admit := next != nil && (first == nil || next.Arrival <= first.at)
+		if !admit && first == nil {
 			return nil
 		}
 		if c.processed++; c.processed > c.cfg.MaxEvents {
@@ -580,7 +587,12 @@ func (c *Cluster) run(s Scheduler) error {
 				return err
 			}
 		} else {
-			ev := c.pop()
+			var ev event
+			if expiry {
+				ev = c.popExpiry()
+			} else {
+				ev = c.pop()
+			}
 			c.advance(ev.at)
 			c.handleEvent(ev)
 		}
@@ -1030,8 +1042,8 @@ func (c *Cluster) completeTask(e *executor) {
 }
 
 // holdExecutor parks a just-released executor in its job's held pool and
-// schedules the idle-timeout expiry (hold-for-lifetime when IdleTimeout
-// is negative).
+// appends its idle-timeout expiry to the expiry queue (hold-for-lifetime
+// when IdleTimeout is negative).
 func (c *Cluster) holdExecutor(e *executor, j *JobRun) {
 	e.reserved = j
 	e.heldPos = len(j.held)
@@ -1044,7 +1056,7 @@ func (c *Cluster) holdExecutor(e *executor, j *JobRun) {
 			timeout = 60 // Spark's executorIdleTimeout default
 		}
 		e.holdExpire = c.clock + timeout
-		c.push(event{at: e.holdExpire, kind: evHoldExpire, exec: int32(e.id)})
+		c.pushExpiry(event{at: e.holdExpire, kind: evHoldExpire, exec: int32(e.id)})
 	}
 }
 

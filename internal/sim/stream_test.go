@@ -39,6 +39,56 @@ func TestEventHeapShrinksAfterBurst(t *testing.T) {
 	}
 }
 
+// queueProbe schedules greedily and records the expiry queue's capacity
+// at every Pick: the largest seen and the last.
+type queueProbe struct {
+	greedy
+	peak, last int
+}
+
+func (p *queueProbe) Pick(c *Cluster) Decision {
+	p.last = cap(c.expiries)
+	p.peak = max(p.peak, p.last)
+	return p.greedy.Pick(c)
+}
+
+// TestExpiryQueueShrinksAfterBurst is the expiry queue's analog of
+// TestEventHeapShrinksAfterBurst, through the engine: a hold-mode
+// RunStream whose burst keeps thousands of expiries pending must give
+// the queue's capacity back once the burst drains. The burst is 400
+// chains of 1 s single-task stages at t = 0; each stage after the first
+// runs on the executor its job holds, and every task ends in a fresh
+// 60 s expiry. A trickle of short chains on the 20 spare executors
+// samples the queue through the burst and well after it.
+func TestExpiryQueueShrinksAfterBurst(t *testing.T) {
+	stages := make([]float64, 100)
+	for i := range stages {
+		stages[i] = 1
+	}
+	var jobs []*dag.Job
+	for i := 0; i < 400; i++ {
+		jobs = append(jobs, chainJob(t, i, stages...))
+	}
+	for i := 0; i < 60; i++ {
+		j := chainJob(t, len(jobs), 1, 1, 1)
+		j.Arrival = float64(5 + 10*i)
+		jobs = append(jobs, j)
+	}
+	cf := cfg(t, 420)
+	cf.HoldExecutors = true
+	cf.IdleTimeout = 60
+	probe := &queueProbe{}
+	if _, err := RunStream(cf, &SliceSource{Jobs: jobs}, probe); err != nil {
+		t.Fatal(err)
+	}
+	if probe.peak < 4*queueShrinkMin {
+		t.Fatalf("expiry queue capacity peaked at %d; fixture too small", probe.peak)
+	}
+	if probe.last > queueShrinkMin {
+		t.Fatalf("expiry queue capacity %d after the burst drained; want <= %d (grown to %d during the burst)", probe.last, queueShrinkMin, probe.peak)
+	}
+}
+
 // has reports whether the set holds id.
 func (s *idSet) has(id int) bool { return s.words[id>>6]&(1<<(id&63)) != 0 }
 
