@@ -48,7 +48,7 @@ type Options struct {
 
 	// pool is the shared worker budget, created once per Run/RunAll
 	// entry and threaded through scoped() copies.
-	pool scenario.Pool
+	pool *scenario.Pool
 }
 
 // scoped returns a copy of o restricted to the given grids, preserving

@@ -10,8 +10,8 @@
 // paper's policies.
 //
 // Decisions are pure functions of (policy, seed, snapshot): restoring
-// a snapshot shares nothing between requests, and the shared registry
-// is immutable, so concurrent Place calls need no locking.
+// a snapshot shares nothing between requests, and the registry holds
+// no state, so concurrent Place calls need no locking.
 package placement
 
 import (

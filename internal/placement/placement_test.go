@@ -183,6 +183,42 @@ func TestServiceMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestUniformPBFollowsSeed pins that uniformpb samples with the request
+// seed, as decima does: at every seed the server answers with the
+// decision of a UniformPB seeded with it, and the seeds do not all pick
+// one stage.
+func TestUniformPBFollowsSeed(t *testing.T) {
+	caps := captureRun(t, 42, []sched.Spec{{Kind: "fifo"}})
+	var snap sim.Snapshot
+	if err := json.Unmarshal(caps[len(caps)-1].raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cluster.Runnable()); n < 3 {
+		t.Fatalf("snapshot has %d runnable stages; fixture too small", n)
+	}
+	srv := httptest.NewServer(carbonapi.NewServer(nil, carbonapi.WithPlacements(&placement.Service{})))
+	defer srv.Close()
+	client := carbonapi.NewClient(srv.URL)
+	picked := map[[2]int]bool{}
+	for seed := int64(1); seed <= 8; seed++ {
+		got, err := client.Place(context.Background(), sched.Spec{Kind: "uniformpb"}, seed, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cluster.Place(&sched.UniformPB{Seed: seed}); !reflect.DeepEqual(*got, want) {
+			t.Errorf("seed %d: served %+v, a UniformPB seeded with it picks %+v", seed, *got, want)
+		}
+		picked[[2]int{got.JobID, got.StageID}] = true
+	}
+	if len(picked) < 2 {
+		t.Errorf("uniformpb picked %v at all eight seeds", picked)
+	}
+}
+
 // testSnapshot builds one small valid snapshot for handler tests.
 func testSnapshot(t *testing.T) *sim.Snapshot {
 	t.Helper()

@@ -25,7 +25,7 @@ import (
 type Env struct {
 	// Pool fans cells out; nil runs serially. Results are identical
 	// either way (per-cell seed derivation).
-	Pool Pool
+	Pool *Pool
 	// Fast shrinks the matrix for smoke runs the way the experiment
 	// engine's fast mode does: one trial, small batches, short traces.
 	Fast bool
@@ -84,7 +84,7 @@ func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds []sim.Scheduler) []*si
 type runEnv struct {
 	spec   Spec
 	fast   bool
-	pool   Pool
+	pool   *Pool
 	traces TraceProvider
 	seed   int64
 	hours  int
@@ -117,7 +117,7 @@ func mixOf(s string) workload.Mix {
 func newRunEnv(spec Spec, env Env) (*runEnv, error) {
 	r := &runEnv{spec: spec, fast: env.Fast, pool: env.Pool, traces: env.Traces}
 	if r.pool == nil {
-		r.pool = serialPool{}
+		r.pool = NewPool(1)
 	}
 	if r.traces == nil {
 		r.traces = Sources{}

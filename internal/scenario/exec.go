@@ -18,50 +18,37 @@ import (
 )
 
 // Pool bounds the worker goroutines that simulation cells fan out over.
-// ForEach must run fn(i) exactly once for every i in [0, n) and return
-// only when all calls finish; implementations may run them in any order
-// and with any concurrency, because every cell derives its randomness
-// from its own identity (seed.Derive), never from execution order. It
-// is the one worker pool of the repository: internal/experiments
-// creates one per Run/RunAll (NewPool) and hands it, unwrapped, to its
-// runners, to ablation.Compare and to the scenario programs its
-// built-in artifacts compile, so nested fan-outs draw from one
-// process-wide worker budget.
-type Pool interface {
-	ForEach(n int, fn func(i int))
-}
-
-// serialPool runs cells on the calling goroutine; the nil-Pool default.
-type serialPool struct{}
-
-func (serialPool) ForEach(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// tokenPool is NewPool's shared-budget implementation: the caller always
-// works through cells itself, extras are spawned only while permits are
-// free (non-blocking, so nested fan-outs degrade to serial instead of
-// deadlocking, and the bound caps the whole run rather than each
-// level), and a worker panic stops further dispatch and re-raises in
-// the caller once in-flight workers drain, so a fail-fast panic crosses
-// goroutines without minutes of wasted simulation behind it.
-type tokenPool struct {
+// It is the one worker pool of the repository: internal/experiments
+// creates one per Run/RunAll (NewPool) and hands it to its runners and
+// to the scenario programs its built-in artifacts compile, so nested
+// fan-outs draw from one process-wide worker budget. The caller of
+// ForEach always works through cells itself, and extras are spawned
+// only while permits are free (non-blocking, so nested fan-outs degrade
+// to serial instead of deadlocking, and the bound caps the whole run
+// rather than each level).
+type Pool struct {
+	// tokens holds one permit per worker beyond the caller, so a
+	// parallelism of 1 never admits a second goroutine.
 	tokens chan struct{}
 }
 
 // NewPool returns a Pool bounded to the given parallelism: 0 selects
-// GOMAXPROCS, 1 forces the serial path.
-func NewPool(parallel int) Pool {
+// GOMAXPROCS, 1 runs every cell on the calling goroutine.
+func NewPool(parallel int) *Pool {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	return &tokenPool{tokens: make(chan struct{}, parallel-1)}
+	return &Pool{tokens: make(chan struct{}, parallel-1)}
 }
 
-// ForEach implements Pool.
-func (p *tokenPool) ForEach(n int, fn func(i int)) {
+// ForEach runs fn(i) exactly once for every i in [0, n) and returns
+// only when all calls finish. The calls run in any order and with any
+// concurrency the budget allows, because every cell derives its
+// randomness from its own identity (seed.Derive), never from execution
+// order. A panic in fn stops further dispatch and re-raises in the
+// caller once in-flight workers drain, so a fail-fast panic crosses
+// goroutines without minutes of wasted simulation behind it.
+func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}

@@ -133,6 +133,31 @@ func TestParseRejectsMalformedYAML(t *testing.T) {
 	}
 }
 
+// TestParseYAMLNonFiniteScalars: nan, inf and infinity, which
+// strconv.ParseFloat reads but JSON cannot carry, load as strings: a
+// string field takes them, and a numeric field fails naming itself.
+func TestParseYAMLNonFiniteScalars(t *testing.T) {
+	const rest = "workload:\n  mix: tpch\nbaseline:\n  kind: fifo\npolicies:\n  - kind: cap\n"
+	for _, tc := range []struct{ doc, name, title string }{
+		{"name: nan\n" + rest, "nan", ""},
+		{"name: x\ntitle: Infinity\n" + rest, "x", "Infinity"},
+		{"name: -inf\ntitle: NaN\n" + rest, "-inf", "NaN"},
+	} {
+		spec, err := Parse([]byte(tc.doc))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.doc, err)
+		}
+		if spec.Name != tc.name || spec.Title != tc.title {
+			t.Errorf("%q: name %q, title %q; want %q, %q", tc.doc, spec.Name, spec.Title, tc.name, tc.title)
+		}
+	}
+	for _, v := range []string{"nan", "NaN", "inf", "-Inf", "+infinity", ".inf"} {
+		if _, err := Parse([]byte("name: x\nseed: " + v + "\n" + rest)); err == nil || !strings.Contains(err.Error(), "Spec.seed") {
+			t.Errorf("seed: %s: error %v, want one naming Spec.seed", v, err)
+		}
+	}
+}
+
 func TestParseRejectsTrailingDocument(t *testing.T) {
 	doc := `{"name": "x", "workload": {"mix": "tpch"}, "baseline": {"kind": "fifo"}, "policies": [{"kind": "cap"}]}{"name": "y"}`
 	if _, err := Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), "trailing") {

@@ -33,8 +33,8 @@ func (p PolicySpec) sched() sched.Spec {
 }
 
 // compilePolicy lowers a validated PolicySpec to a constructor through
-// the shared policy registry — the same table the placement service
-// builds from, so defaults and inner wiring cannot drift between the
+// the policy registry — the one constructor the placement service
+// builds from too, so defaults and inner wiring cannot drift between the
 // two surfaces. The spec has passed Validate, so a rejection here is a
 // programming error.
 func compilePolicy(p PolicySpec) (policyFactory, error) {
@@ -46,8 +46,8 @@ func compilePolicy(p PolicySpec) (policyFactory, error) {
 }
 
 // bindSweepValue instantiates the sweep's policy template at one
-// parameter value, bound to the parameter the kind's registry entry
-// exposes (cap → B, pcaps → γ).
+// parameter value, bound to the parameter the registry's SweepParam
+// names (cap → B, pcaps → γ).
 func bindSweepValue(template PolicySpec, value float64) PolicySpec {
 	switch sched.Default().SweepParam(template.Kind) {
 	case "b":

@@ -20,7 +20,7 @@ import (
 // stochastic choice derives from the spec's seed.
 type Service struct {
 	// Pool bounds each run's cell fan-out; nil runs serially.
-	Pool Pool
+	Pool *Pool
 	// Traces overrides carbon-source resolution (tests); nil selects
 	// the default Sources.
 	Traces TraceProvider

@@ -331,8 +331,8 @@ func fieldErr(field, format string, args ...any) error {
 	return fmt.Errorf("scenario: %s: %s", field, fmt.Sprintf(format, args...))
 }
 
-// validatePolicy delegates the parameter checks to the shared policy
-// registry (the same table compilePolicy builds from), relocating the
+// validatePolicy delegates the parameter checks to the policy registry
+// (the same constructor compilePolicy builds from), relocating the
 // registry's relative field paths under this spec's field.
 func validatePolicy(field string, p PolicySpec) error {
 	if err := sched.Default().Check(p.sched()); err != nil {
@@ -650,8 +650,7 @@ func (s *Spec) validateSweep() error {
 	}
 	param := sched.Default().SweepParam(sw.Policy.Kind)
 	if param == "" {
-		return fieldErr("sweep.policy.kind", "kind %q has no sweepable parameter (have %s)",
-			sw.Policy.Kind, strings.Join(sched.Default().Sweepable(), ", "))
+		return fieldErr("sweep.policy.kind", "kind %q has no sweepable parameter (have cap, pcaps)", sw.Policy.Kind)
 	}
 	// Each bound value must itself be a valid parameter; in particular
 	// an out-of-range value would otherwise be rejected only at compile

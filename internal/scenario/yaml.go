@@ -13,6 +13,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -354,7 +355,10 @@ func parseYAMLScalar(s string, num int) (any, error) {
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i, nil
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	// ParseFloat also reads nan, inf and infinity, which the YAML 1.2
+	// core schema spells .nan and .inf and JSON cannot carry: they stay
+	// strings, so name: nan loads and a numeric field fails by name.
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 		return f, nil
 	}
 	return s, nil

@@ -2,28 +2,36 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
-
-	"pcaps/internal/sim"
 )
 
+// kinds lists the paper's eight policies (§6.1) in the order rejections
+// name them.
+var kinds = []string{"fifo", "kube-default", "weighted-fair", "decima", "uniformpb", "greenhadoop", "cap", "pcaps"}
+
+// TestDefaultRegistryKinds pins the policy set: the eight kinds, listed
+// in order when a spec names none; decima and uniformpb as the kinds
+// PCAPS wraps; and cap and pcaps as the kinds with a sweepable
+// parameter.
 func TestDefaultRegistryKinds(t *testing.T) {
-	want := []string{"fifo", "kube-default", "weighted-fair", "decima", "uniformpb", "greenhadoop", "cap", "pcaps"}
-	got := Default().Kinds()
-	if len(got) != len(want) {
-		t.Fatalf("Kinds() = %v, want %v", got, want)
+	r := Default()
+	if err, want := r.Check(Spec{}), "have "+strings.Join(kinds, ", "); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Check(no kind) = %v, want it to list %q", err, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Kinds()[%d] = %q, want %q", i, got[i], want[i])
+	sweep := map[string]string{"cap": "b", "pcaps": "gamma"}
+	for _, kind := range kinds {
+		if err := r.Check(Spec{Kind: kind}); err != nil {
+			t.Errorf("Check(%q): %v", kind, err)
 		}
-	}
-	if got := Default().ProbabilisticKinds(); len(got) != 2 || got[0] != "decima" || got[1] != "uniformpb" {
-		t.Fatalf("ProbabilisticKinds() = %v, want [decima uniformpb]", got)
-	}
-	if got := Default().Sweepable(); len(got) != 2 || got[0] != "cap" || got[1] != "pcaps" {
-		t.Fatalf("Sweepable() = %v, want [cap pcaps]", got)
+		wrapped := r.Check(Spec{Kind: "pcaps", Inner: &Spec{Kind: kind}}) == nil
+		if want := kind == "decima" || kind == "uniformpb"; wrapped != want {
+			t.Errorf("pcaps wraps %q: %v, want %v", kind, wrapped, want)
+		}
+		if got := r.SweepParam(kind); got != sweep[kind] {
+			t.Errorf("SweepParam(%q) = %q, want %q", kind, got, sweep[kind])
+		}
 	}
 }
 
@@ -39,7 +47,7 @@ func TestRegistryBuildsEveryKind(t *testing.T) {
 		"cap":           "CAP-FIFO",
 		"pcaps":         "PCAPS",
 	}
-	for _, kind := range r.Kinds() {
+	for _, kind := range kinds {
 		f, err := r.New(Spec{Kind: kind})
 		if err != nil {
 			t.Fatalf("New(%q): %v", kind, err)
@@ -48,19 +56,20 @@ func TestRegistryBuildsEveryKind(t *testing.T) {
 		if s == nil {
 			t.Fatalf("New(%q) factory returned nil scheduler", kind)
 		}
-		if want, ok := wantName[kind]; ok && s.Name() != want {
-			t.Errorf("New(%q).Name() = %q, want %q", kind, s.Name(), want)
+		if s.Name() != wantName[kind] {
+			t.Errorf("New(%q).Name() = %q, want %q", kind, s.Name(), wantName[kind])
 		}
 	}
 }
 
 func TestRegistryRejects(t *testing.T) {
-	cases := []struct {
+	type rejection struct {
 		name  string
 		spec  Spec
 		field string
 		msg   string
-	}{
+	}
+	cases := []rejection{
 		{"empty kind", Spec{}, "kind", "missing policy kind"},
 		{"unknown kind", Spec{Kind: "srpt"}, "kind", `unknown policy kind "srpt"`},
 		{"b on fifo", Spec{Kind: "fifo", B: Int(3)}, "b", "takes no CAP quota"},
@@ -76,6 +85,15 @@ func TestRegistryRejects(t *testing.T) {
 		{"nested cap inner b", Spec{Kind: "cap", Inner: &Spec{Kind: "cap", B: Int(0)}}, "inner.b", "below 1"},
 		{"non-prob pcaps inner", Spec{Kind: "pcaps", Inner: &Spec{Kind: "fifo"}}, "inner.kind", "wraps a probabilistic policy"},
 		{"pcaps inner with params", Spec{Kind: "pcaps", Inner: &Spec{Kind: "decima", Gamma: Float(0.5)}}, "inner", "takes only a kind"},
+		{"b on pcaps", Spec{Kind: "pcaps", B: Int(3)}, "b", `policy kind "pcaps" takes no CAP quota`},
+	}
+	// Each plain kind rejects every parameter it does not take.
+	for _, kind := range kinds[:6] {
+		quoted := fmt.Sprintf("policy kind %q", kind)
+		cases = append(cases,
+			rejection{"b on plain " + kind, Spec{Kind: kind, B: Int(3)}, "b", quoted + " takes no CAP quota"},
+			rejection{"gamma on plain " + kind, Spec{Kind: kind, Gamma: Float(0.5)}, "gamma", quoted + " takes no gamma"},
+			rejection{"inner on plain " + kind, Spec{Kind: kind, Inner: &Spec{Kind: "fifo"}}, "inner", quoted + " takes no inner policy"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,24 +167,4 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if bare, _ := json.Marshal(Spec{Kind: "fifo"}); string(bare) != `{"kind":"fifo"}` {
 		t.Fatalf("Marshal(fifo) = %s, want bare kind", bare)
 	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	fifo := Entry{New: func(Resolved) sim.Scheduler { return &FIFO{} }}
-	mustPanic("empty kind", func() { NewRegistry().Register("", fifo) })
-	mustPanic("nil constructor", func() { NewRegistry().Register("x", Entry{}) })
-	mustPanic("duplicate kind", func() {
-		r := NewRegistry()
-		r.Register("x", fifo)
-		r.Register("x", fifo)
-	})
 }

@@ -16,8 +16,7 @@ package sim
 // each variant would have produced alone.
 
 import (
-	"fmt"
-	"math/rand"
+	"errors"
 	"slices"
 
 	"pcaps/internal/dag"
@@ -43,36 +42,18 @@ func (v *groupVariant) pick(c *Cluster) Decision {
 	return d
 }
 
-// forkable reports whether a configuration supports lockstep group
-// execution. Failure injection consumes the cluster RNG (whose draw
-// order would interleave across variants), observers cannot be cloned,
-// and per-job usage rows are not worth the clone complexity — those
-// configurations fall back to independent runs.
-func forkable(cfg Config) bool {
-	return cfg.FailureRate == 0 && cfg.Observer == nil && !cfg.TrackJobUsage
-}
-
 // RunGroup simulates the batch under every scheduler, sharing every
 // common decision prefix across variants (one state evolution, forks at
 // divergence). Results are positionally parallel to scheds and
-// byte-identical to len(scheds) independent Run calls. Configurations
-// that cannot fork (see forkable) degrade to exactly those calls.
+// byte-identical to len(scheds) independent Run calls. An Observer is
+// rejected: the shared state it would see belongs to no one variant.
 func RunGroup(cfg Config, jobs []*dag.Job, scheds []Scheduler) ([]*Result, error) {
 	if len(scheds) == 0 {
-		return nil, fmt.Errorf("sim: RunGroup needs at least one scheduler")
+		return nil, errors.New("sim: RunGroup needs at least one scheduler")
 	}
-	if !forkable(cfg) {
-		results := make([]*Result, len(scheds))
-		for i, s := range scheds {
-			r, err := Run(cfg, jobs, s)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
+	if cfg.Observer != nil {
+		return nil, errors.New("sim: RunGroup does not support Observer (variants share state until they fork)")
 	}
-
 	c, err := newCluster(cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -159,7 +140,7 @@ func (g *group) complete(c *Cluster, d *Decision) {
 		}
 		if i > 0 {
 			// Results must not share mutable backing arrays.
-			c.usage, c.jcts = slices.Clone(c.usage), slices.Clone(c.jcts)
+			c.usage, c.jcts, c.jobUsage = slices.Clone(c.usage), slices.Clone(c.jcts), cloneRows(c.jobUsage)
 		}
 		c.deferrals, c.deferredWork = v.deferrals, v.deferredWork
 		v.result, v.err = c.result(v.s.Name())
@@ -213,18 +194,16 @@ func (r *replay) Pick(c *Cluster) Decision {
 // referenced by nothing), the held/runnable indexes, both executor ID
 // sets, the event heap and the expiry queue's live entries (sequence
 // counter preserved — event ordering is part of the trajectory; events
-// name executors by ID, so they copy as they are), the usage timeline
-// and the per-job results so far.
+// name executors by ID, so they copy as they are), the usage timeline,
+// the per-job usage rows and the per-job results so far.
 // Immutable structure is shared: *dag.Job and *dag.Stage are never
 // mutated after construction, and the carbon trace is read-only. The
 // returned maps translate master JobRun and StageRun pointers to their
-// clones (for remapping in-flight decision refs). The cluster RNG is
-// rebuilt from the seed — forkable() guarantees it was never drawn from.
+// clones (for remapping in-flight decision refs).
 func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRun) {
 	n := &Cluster{
 		cfg:            c.cfg,
 		clock:          c.clock,
-		rng:            rand.New(rand.NewSource(c.cfg.Seed)),
 		busyCount:      c.busyCount,
 		activeCount:    c.activeCount,
 		runnableJobs:   c.runnableJobs,
@@ -238,7 +217,6 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 		outstandingEpoch: c.epoch - 1,
 		deferrals:        c.deferrals,
 		deferredWork:     c.deferredWork,
-		retries:          c.retries,
 		totalWork:        c.totalWork,
 		ect:              c.ect,
 		sumJCT:           c.sumJCT,
@@ -290,6 +268,17 @@ func (c *Cluster) clone() (*Cluster, map[*JobRun]*JobRun, map[*StageRun]*StageRu
 	n.events = eventHeap{items: slices.Clone(c.events.items), seq: c.events.seq}
 	n.expiries = append(make([]event, 0, cap(c.expiries)), c.expiries[c.expHead:]...)
 	n.usage = append(make([]float64, 0, cap(c.usage)), c.usage...)
+	n.jobUsage = cloneRows(c.jobUsage)
 	n.jcts = slices.Clone(c.jcts)
 	return n, jm, sm
+}
+
+// cloneRows deep-copies per-job usage rows. Nil stays nil: advance
+// fills rows only when they exist.
+func cloneRows(rows [][]float64) [][]float64 {
+	out := slices.Clone(rows)
+	for i, row := range out {
+		out[i] = slices.Clone(row)
+	}
+	return out
 }

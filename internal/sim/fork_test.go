@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pcaps/internal/arrivals"
@@ -19,9 +20,10 @@ import (
 // common-prefix group runner: for every (seed, policy group, cluster
 // regime), RunGroup's results must be byte-identical — compared as
 // canonical JSON, every field including per-job JCTs, usage timelines,
-// and deferral counters — to simulating each policy from scratch with
-// its own fresh cluster. This is the contract that lets the experiment
-// runners group sweep cells without changing a single published digit.
+// per-job usage rows, and deferral counters — to simulating each policy
+// from scratch with its own fresh cluster. This is the contract that
+// lets the experiment runners group sweep cells without changing a
+// single published digit.
 func TestRunGroupMatchesSequential(t *testing.T) {
 	t.Parallel()
 
@@ -93,6 +95,12 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 			return sim.Config{NumExecutors: k, Trace: tr, Seed: seed,
 				HoldExecutors: true, IdleTimeout: 60}
 		}},
+		// Per-job usage rows (fig6's occupancy strips): a fork must copy
+		// the rows so far and share none with the state it left.
+		{"jobusage", func(tr *carbon.Trace, seed int64) sim.Config {
+			return sim.Config{NumExecutors: k, Trace: tr, Seed: seed,
+				HoldExecutors: true, IdleTimeout: 60, TrackJobUsage: true}
+		}},
 	}
 
 	for _, seed := range []int64{1, 7, 42} {
@@ -140,8 +148,9 @@ func TestRunGroupMatchesSequential(t *testing.T) {
 }
 
 // TestRunGroupSingleAndFallback pins the degenerate paths: a one-element
-// group and a non-forkable config (failure injection on) must both match
-// plain sequential runs.
+// group must match a plain run, and a configuration with no lockstep
+// form, one with an Observer, has no sequential fallback: RunGroup
+// rejects it.
 func TestRunGroupSingleAndFallback(t *testing.T) {
 	t.Parallel()
 	vals := make([]float64, 200)
@@ -170,19 +179,10 @@ func TestRunGroupSingleAndFallback(t *testing.T) {
 		t.Error("single-scheduler group differs from plain Run")
 	}
 
-	unforkable := sim.Config{NumExecutors: 8, Trace: tr, Seed: 3, FailureRate: 0.05}
-	got, err = sim.RunGroup(unforkable, jobs, []sim.Scheduler{&sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []sim.Scheduler{&sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20)} {
-		want, err := sim.Run(unforkable, jobs, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if asJSON(t, got[i]) != asJSON(t, want) {
-			t.Errorf("fallback variant %d differs from plain Run", i)
-		}
+	observed := single
+	observed.Observer = func(*sim.Cluster) { t.Error("RunGroup called the Observer") }
+	if _, err := sim.RunGroup(observed, jobs, []sim.Scheduler{&sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20)}); err == nil || !strings.Contains(err.Error(), "Observer") {
+		t.Fatalf("RunGroup with an Observer: err = %v, want a rejection naming Observer", err)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 
 	"pcaps/internal/carbon"
@@ -69,12 +68,9 @@ type Config struct {
 	// the job's whole lifetime (standalone mode without dynamic
 	// allocation).
 	IdleTimeout float64
-	// FailureRate is the probability that a task attempt fails and is
-	// retried on the same executor (transient failure injection; the
-	// lost attempt still consumed executor time and carbon). Must be in
-	// [0, 0.9].
-	FailureRate float64
-	// Seed drives failure injection.
+	// Seed records the run's seed for callers that derive their
+	// schedulers' seeds from the configuration. Nothing in the engine
+	// reads it.
 	Seed int64
 	// MaxEvents bounds the event loop as a hang guard; 0 selects a
 	// generous default.
@@ -91,7 +87,7 @@ type Config struct {
 	// scheduler-visible state — the capture point for Cluster.Snapshot
 	// exports. The callback must not mutate cluster state and must not
 	// retain the view slices across calls; Snapshot itself copies what it
-	// needs.
+	// needs. Only Run takes one: RunGroup and RunStream reject it.
 	Observer func(c *Cluster)
 }
 
@@ -264,7 +260,6 @@ type Cluster struct {
 	events   eventHeap
 	expiries []event
 	expHead  int
-	rng      *rand.Rand
 	// busyCount counts executors running a task; activeCount adds the
 	// executors a job merely holds (HoldExecutors mode). Carbon and
 	// quota decisions see activeCount — held executors burn power.
@@ -320,8 +315,6 @@ type Cluster struct {
 	// reported by wrapping schedulers through NoteDeferral.
 	deferrals    int
 	deferredWork float64
-	// retries counts failed task attempts (failure injection).
-	retries int
 	// jobUsage mirrors usage per job when Config.TrackJobUsage is set.
 	jobUsage [][]float64
 	// totalWork sums the jobs' work in executor-seconds. Each completed
@@ -487,8 +480,6 @@ type Result struct {
 	// Stream carries the streaming reducers' summary; non-nil only for
 	// RunStream results.
 	Stream *StreamStats
-	// TaskRetries counts failed task attempts that were retried.
-	TaskRetries int
 	// TotalWork is the jobs' total work in executor-seconds.
 	TotalWork float64
 	// Events is the number of processed admissions and simulation events.
@@ -521,9 +512,6 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 	if cfg.NumExecutors < 1 {
 		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
 	if cfg.ForecastHorizon <= 0 {
 		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
 	}
@@ -531,7 +519,7 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, error) {
 		cfg.MaxEvents = 20_000_000
 	}
 
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1, perJob: true}
+	c := &Cluster{cfg: cfg, epoch: 1, perJob: true}
 	c.boundsClock = math.NaN() // cache starts invalid (clock starts at 0)
 	c.execs = make([]*executor, cfg.NumExecutors)
 	c.free, c.reservedIdle = newIDSet(cfg.NumExecutors), newIDSet(cfg.NumExecutors)
@@ -709,7 +697,6 @@ func (c *Cluster) result(name string) (*Result, error) {
 		JobUsage:     c.jobUsage,
 		Deferrals:    c.deferrals,
 		DeferredWork: c.deferredWork,
-		TaskRetries:  c.retries,
 		TotalWork:    c.totalWork,
 		Events:       c.processed,
 	}
@@ -1000,18 +987,11 @@ func (c *Cluster) bind(e *executor, j *JobRun, st *StageRun) {
 	c.push(event{at: c.clock + delay + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
 }
 
-// completeTask handles a task-done event: the attempt may fail and retry
-// (failure injection); otherwise the executor either pulls the next task
-// of its stage (when the limit allows) or goes idle; stage and job
-// completion propagate to children.
+// completeTask handles a task-done event: the executor either pulls the
+// next task of its stage (when the limit allows) or goes idle; stage and
+// job completion propagate to children.
 func (c *Cluster) completeTask(e *executor) {
 	st, j := e.stage, e.job
-	if c.cfg.FailureRate > 0 && c.rng.Float64() < c.cfg.FailureRate {
-		// The attempt is lost; the executor retries the task in place.
-		c.retries++
-		c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: int32(e.id)})
-		return
-	}
 	st.Completed++
 	j.remainingOK = false
 	c.invalidate()

@@ -306,8 +306,6 @@ func TestDeferringSchedulerFailsJobs(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	jobs := []*dag.Job{chainJob(t, 0, 13, 7), chainJob(t, 1, 9)}
 	c := cfg(t, 2)
-	c.FailureRate = 0.3
-	c.Seed = 42
 	a, err := Run(c, jobs, greedy{})
 	if err != nil {
 		t.Fatal(err)
@@ -317,15 +315,7 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.ECT != b.ECT || a.CarbonGrams != b.CarbonGrams {
-		t.Fatalf("same seed diverged: %v/%v vs %v/%v", a.ECT, a.CarbonGrams, b.ECT, b.CarbonGrams)
-	}
-	c.Seed = 43
-	d, err := Run(c, jobs, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ECT == d.ECT {
-		t.Fatal("failure-injection seed had no effect")
+		t.Fatalf("same run diverged: %v/%v vs %v/%v", a.ECT, a.CarbonGrams, b.ECT, b.CarbonGrams)
 	}
 }
 
@@ -372,7 +362,7 @@ func (r *jobRecorder) Pick(c *Cluster) Decision {
 // TestRunsShareCallerJobs pins that every entry point reads the caller's
 // jobs in place: the scheduler sees exactly the *dag.Job pointers of the
 // batch, never copies. (The scheduler observes rather than an Observer,
-// which RunStream rejects and which stops RunGroup from forking.)
+// which RunStream and RunGroup reject.)
 func TestRunsShareCallerJobs(t *testing.T) {
 	jobs := make([]*dag.Job, 6)
 	for i := range jobs {
@@ -569,54 +559,6 @@ func TestHoldExecutorsReservedServeOwnJob(t *testing.T) {
 	}
 	if math.Abs(res.ECT-60) > 1e-9 {
 		t.Fatalf("ECT = %v, want 60", res.ECT)
-	}
-}
-
-func TestFailureInjection(t *testing.T) {
-	b := dag.NewBuilder(0, "wide")
-	b.Stage("", 40, 5)
-	j := b.MustBuild()
-	c := cfg(t, 4)
-	c.FailureRate = 0.3
-	c.Seed = 9
-	res, err := Run(c, []*dag.Job{j}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TaskRetries == 0 {
-		t.Fatal("30% failure rate produced no retries")
-	}
-	// Every retry costs one extra task duration of busy time.
-	var usage float64
-	for _, u := range res.Usage {
-		usage += u
-	}
-	want := res.TotalWork + float64(res.TaskRetries)*5
-	if math.Abs(usage-want) > 1e-6 {
-		t.Fatalf("usage %v, want %v (work + retries)", usage, want)
-	}
-	// Failure-free run is cheaper and faster.
-	c.FailureRate = 0
-	clean, err := Run(c, []*dag.Job{j}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.ECT >= res.ECT || clean.CarbonGrams >= res.CarbonGrams {
-		t.Fatalf("failures should cost time and carbon: %v/%v vs %v/%v",
-			clean.ECT, clean.CarbonGrams, res.ECT, res.CarbonGrams)
-	}
-}
-
-func TestFailureRateValidation(t *testing.T) {
-	j := chainJob(t, 0, 10)
-	c := cfg(t, 1)
-	c.FailureRate = 0.95
-	if _, err := Run(c, []*dag.Job{j}, greedy{}); err == nil {
-		t.Fatal("failure rate > 0.9 accepted")
-	}
-	c.FailureRate = -0.1
-	if _, err := Run(c, []*dag.Job{j}, greedy{}); err == nil {
-		t.Fatal("negative failure rate accepted")
 	}
 }
 
