@@ -350,8 +350,7 @@ func benchFederationClusters(b *testing.B) []federation.ClusterSpec {
 		}
 		return federation.ClusterSpec{
 			Grid:         grid,
-			Trace:        tr,
-			Config:       sim.Config{NumExecutors: 50},
+			Config:       sim.Config{NumExecutors: 50, Trace: tr},
 			NewScheduler: func(int64) sim.Scheduler { return &sched.FIFO{} },
 		}
 	}
@@ -381,18 +380,17 @@ func BenchmarkFederationSchedLoop(b *testing.B) {
 func BenchmarkFederationRouting(b *testing.B) {
 	r := federation.NewForecastAware()
 	states := []federation.ClusterState{
-		{Index: 0, Intensity: 120, Low: 90, High: 180},
-		{Index: 1, Intensity: 350, Low: 200, High: 500},
-		{Index: 2, Intensity: 650, Low: 570, High: 730},
-		{Index: 3, Intensity: 90, Low: 60, High: 140},
-		{Index: 4, Intensity: 420, Low: 300, High: 520},
-		{Index: 5, Intensity: 700, Low: 590, High: 800},
+		{Intensity: 120, Low: 90, High: 180},
+		{Intensity: 350, Low: 200, High: 500},
+		{Intensity: 650, Low: 570, High: 730},
+		{Intensity: 90, Low: 60, High: 140},
+		{Intensity: 420, Low: 300, High: 520},
+		{Intensity: 700, Low: 590, High: 800},
 	}
-	job := federation.JobInfo{Arrival: 0, Work: 1200, CriticalPath: 90}
 	b.ReportAllocs()
 	r.Reset()
 	for i := 0; i < b.N; i++ {
-		_ = r.Route(job, states)
+		_ = r.Route(states)
 	}
 }
 

@@ -24,6 +24,11 @@
 // one <cluster>.trace.csv per cluster plus workload.csv — the
 // scenario's full resolved inputs for offline replay — into the -out
 // directory.
+//
+// One mode runs at a time, and each reads only its own flags: -grid
+// reads -hours, -seed and -header; -workload reads -n, -interarrival,
+// -seed and -header; -scenario reads -out and -header. Any other flag
+// set alongside a mode, or a second mode, is a usage error (exit 2).
 package main
 
 import (
@@ -31,10 +36,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,41 +51,75 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// modeReads lists, for each mode flag, the other flags that mode reads.
+// Any other flag set alongside it is a usage error: a silently ignored
+// -seed or -n would make a sweep over it write identical files.
+var modeReads = map[string][]string{
+	"scenario": {"out", "header"},
+	"grid":     {"hours", "seed", "header"},
+	"workload": {"n", "interarrival", "seed", "header"},
+}
+
+// run holds main's body and returns the process exit code: 0 on
+// success, 1 when generation fails, 2 on a usage error.
+func run() int {
 	var (
 		grid     = flag.String("grid", "", "emit a carbon trace for this grid (PJM, CAISO, ON, DE, NSW, ZA)")
-		hours    = flag.Int("hours", carbon.PaperHours, "trace length in hours")
+		hours    = flag.Int("hours", carbon.PaperHours, "trace length in hours (-grid)")
 		wl       = flag.String("workload", "", "emit a workload batch: tpch, alibaba, or both")
-		n        = flag.Int("n", 50, "number of jobs")
-		inter    = flag.Float64("interarrival", 30, "mean Poisson interarrival in seconds")
-		seed     = flag.Int64("seed", 42, "random seed")
+		n        = flag.Int("n", 50, "number of jobs (-workload)")
+		inter    = flag.Float64("interarrival", 30, "mean Poisson interarrival in seconds (-workload)")
+		seed     = flag.Int64("seed", 42, "random seed (-grid, -workload)")
 		header   = flag.Bool("header", false, "prepend a '# generated=tracegen ...' provenance comment")
 		scenFile = flag.String("scenario", "", "resolve a scenario spec file and emit its trace/workload CSVs")
 		outDir   = flag.String("out", "", "directory for -scenario output (default: current directory)")
 	)
 	flag.Parse()
 
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := ""
+	for _, name := range set {
+		if modeReads[name] == nil {
+			continue
+		}
+		if mode != "" {
+			fmt.Fprintf(os.Stderr, "tracegen: -%s and -%s are mutually exclusive; pass one of -scenario, -grid, -workload\n", mode, name)
+			return 2
+		}
+		mode = name
+	}
+	for _, name := range set {
+		if mode != "" && name != mode && !slices.Contains(modeReads[mode], name) {
+			fmt.Fprintf(os.Stderr, "tracegen: -%s does not apply to -%s runs, which read only -%s\n",
+				name, mode, strings.Join(modeReads[mode], ", -"))
+			return 2
+		}
+	}
+
+	var err error
 	switch {
 	case *scenFile != "":
-		if err := emitScenario(*scenFile, *outDir, *header); err != nil {
-			log.Fatalf("tracegen: %v", err)
-		}
+		err = emitScenario(*scenFile, *outDir, *header)
 	case *grid != "":
-		if err := writeGrid(os.Stdout, *grid, *hours, *seed, *header); err != nil {
-			log.Fatalf("tracegen: %v", err)
-		}
+		err = writeGrid(os.Stdout, *grid, *hours, *seed, *header)
 	case *wl != "":
-		mix, err := mixFor(*wl)
-		if err != nil {
-			log.Fatalf("tracegen: %v", err)
-		}
-		b := batchFlags{n: *n, interarrival: *inter, mix: mix, seed: *seed}
-		if err := writeWorkload(os.Stdout, b, *header); err != nil {
-			log.Fatalf("tracegen: %v", err)
+		var mix workload.Mix
+		if mix, err = mixFor(*wl); err == nil {
+			err = writeWorkload(os.Stdout, batchFlags{n: *n, interarrival: *inter, mix: mix, seed: *seed}, *header)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "tracegen: pass -grid NAME, -workload KIND, or -scenario FILE")
-		os.Exit(2)
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func mixFor(name string) (workload.Mix, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"flag"
 	"math"
 	"os"
 	"reflect"
@@ -285,4 +286,87 @@ func mustLoad(t *testing.T, path string) *scenario.Spec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// runCLI runs tracegen's main body with the given arguments and returns
+// its exit code and what it wrote to stdout and stderr.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(dir + "/stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.Create(dir + "/stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedArgs, savedFlags, savedOut, savedErr := os.Args, flag.CommandLine, os.Stdout, os.Stderr
+	defer func() {
+		os.Args, flag.CommandLine, os.Stdout, os.Stderr = savedArgs, savedFlags, savedOut, savedErr
+	}()
+	os.Args = append([]string{"tracegen"}, args...)
+	flag.CommandLine = flag.NewFlagSet("tracegen", flag.ExitOnError)
+	os.Stdout, os.Stderr = outF, errF
+	code = run()
+	outF.Close()
+	errF.Close()
+	out, err := os.ReadFile(dir + "/stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOut, err := os.ReadFile(dir + "/stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out), string(errOut)
+}
+
+// TestModeRejectsFlagsItDoesNotRead: each mode reads only its own flags
+// (-scenario: -out, -header; -grid: -hours, -seed, -header; -workload:
+// -n, -interarrival, -seed, -header), and one mode at a time. Anything
+// else is a usage error naming the flag, before anything is written,
+// so a seed or size sweep cannot silently write identical files.
+func TestModeRejectsFlagsItDoesNotRead(t *testing.T) {
+	const spec = "../../examples/scenarios/minimal.json"
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-scenario", spec, "-seed", "7"}, "-seed"},
+		{[]string{"-scenario", spec, "-n", "3"}, "-n"},
+		{[]string{"-scenario", spec, "-hours", "3"}, "-hours"},
+		{[]string{"-grid", "DE", "-hours", "3", "-n", "5"}, "-n"},
+		{[]string{"-grid", "DE", "-hours", "3", "-out", "x"}, "-out"},
+		{[]string{"-workload", "tpch", "-hours", "3"}, "-hours"},
+		{[]string{"-workload", "tpch", "-out", "x"}, "-out"},
+		{[]string{"-grid", "DE", "-hours", "3", "-workload", "tpch"}, "-workload"},
+		{[]string{"-scenario", spec, "-grid", "DE"}, "-scenario"},
+	} {
+		dir := t.TempDir()
+		if tc.args[0] == "-scenario" {
+			tc.args = append(tc.args, "-out", dir)
+		}
+		code, stdout, stderr := runCLI(t, tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.flag+" ") {
+			t.Errorf("%v: exit %d, stderr %q: want exit 2 naming %s", tc.args, code, stderr, tc.flag)
+		}
+		if stdout != "" {
+			t.Errorf("%v: rejected run printed %q", tc.args, stdout)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%v: rejected run wrote %d files", tc.args, len(entries))
+		}
+	}
+
+	// Every flag a mode reads is still accepted.
+	for _, args := range [][]string{
+		{"-scenario", spec, "-header", "-out", t.TempDir()},
+		{"-grid", "DE", "-hours", "3", "-seed", "7", "-header"},
+		{"-workload", "tpch", "-n", "2", "-interarrival", "5", "-seed", "7", "-header"},
+	} {
+		if code, _, stderr := runCLI(t, args...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q", args, code, stderr)
+		}
+	}
 }

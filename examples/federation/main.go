@@ -49,10 +49,10 @@ func main() {
 			log.Fatal(err)
 		}
 		clusters[i] = federation.ClusterSpec{
-			Grid:  g,
-			Trace: window,
+			Grid: g,
 			Config: sim.Config{
 				NumExecutors:  50,
+				Trace:         window,
 				MoveDelay:     1,
 				HoldExecutors: true,
 				IdleTimeout:   60,

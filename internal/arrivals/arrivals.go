@@ -243,8 +243,6 @@ func (s Spec) Validate() error {
 // the Poisson kind reproduces the historical batch draw interleaving
 // byte-for-byte.
 type Process interface {
-	// Kind returns the process's Spec kind.
-	Kind() string
 	// Gap returns the gap in seconds between job i (which arrived at
 	// time now) and job i+1, drawing randomness from r.
 	Gap(i int, now float64, r *rand.Rand) float64
@@ -292,9 +290,6 @@ type Poisson struct {
 	MeanSec float64
 }
 
-// Kind implements Process.
-func (Poisson) Kind() string { return KindPoisson }
-
 // Gap implements Process.
 //
 //pcaps:hotpath called once per generated job in every batch draw
@@ -305,8 +300,6 @@ func (p Poisson) Gap(i int, now float64, r *rand.Rand) float64 {
 // constant is a fixed-spacing deterministic schedule at 1/rps seconds
 // per job; it draws nothing from r.
 type constant struct{ rps float64 }
-
-func (constant) Kind() string { return KindConstant }
 
 //pcaps:hotpath called once per generated job in every batch draw
 func (c constant) Gap(i int, now float64, r *rand.Rand) float64 { return 1 / c.rps }
@@ -324,8 +317,6 @@ type rateProcess struct {
 	period float64
 	burst  float64 // burst duration (burst kind only)
 }
-
-func (p *rateProcess) Kind() string { return p.kind }
 
 // rate evaluates λ(t) for the shape.
 //
@@ -371,9 +362,6 @@ type Schedule struct {
 	// parallel to Times).
 	Classes []string
 }
-
-// Kind implements Process.
-func (Schedule) Kind() string { return KindCSV }
 
 // Gap implements Process.
 //

@@ -13,9 +13,6 @@ import (
 // running work when the quota drops.
 type CAP struct {
 	th *ksearch.Thresholds
-	// minSeen tracks M(B,c), the minimum quota set so far, for the
-	// carbon stretch factor of Theorem 4.5.
-	minSeen int
 }
 
 // NewCAP builds the provisioner for a cluster of k machines with minimum
@@ -25,7 +22,7 @@ func NewCAP(k, b int, l, u float64) (*CAP, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CAP{th: th, minSeen: k}, nil
+	return &CAP{th: th}, nil
 }
 
 // K returns the cluster size the provisioner was built for.
@@ -37,21 +34,12 @@ func (c *CAP) B() int { return c.th.B }
 // Thresholds exposes the underlying k-search threshold set.
 func (c *CAP) Thresholds() *ksearch.Thresholds { return c.th }
 
-// Quota returns the machine quota r(t) for the current carbon intensity
-// and records it for MinQuotaSeen. The quota is enforced without
-// preemption: callers only gate *new* assignments on it.
+// Quota returns the machine quota r(t) for the current carbon intensity.
+// The quota is enforced without preemption: callers only gate *new*
+// assignments on it.
 //
 //pcaps:hotpath
-func (c *CAP) Quota(carbon float64) int {
-	q := c.th.Quota(carbon)
-	if q < c.minSeen {
-		c.minSeen = q
-	}
-	return q
-}
-
-// MinQuotaSeen returns M(B,c) over all Quota calls so far.
-func (c *CAP) MinQuotaSeen() int { return c.minSeen }
+func (c *CAP) Quota(carbon float64) int { return c.th.Quota(carbon) }
 
 // ParallelismLimit scales an underlying scheduler's per-stage parallelism
 // limit by the quota ratio (§5.1): P' = ⌈P · r(t)/K⌉, clamped to [1, P].

@@ -173,9 +173,6 @@ func TestCAPQuotaAndMinSeen(t *testing.T) {
 	if q := c.Quota(765); q != 20 {
 		t.Fatalf("Quota(U) = %d, want 20", q)
 	}
-	if m := c.MinQuotaSeen(); m != 20 {
-		t.Fatalf("MinQuotaSeen = %d, want 20", m)
-	}
 }
 
 func TestCAPParallelismLimit(t *testing.T) {

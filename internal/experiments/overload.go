@@ -40,7 +40,6 @@ func (a *overloadAgg) add(s metrics.OpenLoop, carbonGrams float64) {
 	a.sum.MeanBacklog += s.MeanBacklog
 	a.sum.PeakBacklog += s.PeakBacklog
 	a.sum.P50JCT += s.P50JCT
-	a.sum.P95JCT += s.P95JCT
 	a.sum.P99JCT += s.P99JCT
 	a.sum.MeanQueueDelay += s.MeanQueueDelay
 	a.sum.GoodputJobsPerHr += s.GoodputJobsPerHr

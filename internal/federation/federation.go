@@ -14,6 +14,13 @@
 // supplies each region's signal and its (L, U) routing bounds, and
 // internal/sim runs each member cluster unchanged.
 //
+// A router sees only the carbon signals the paper's decisions read: per
+// member, the grid's intensity at the job's arrival and its forecast
+// bounds (L, U) over the job's estimated span on that member. It returns
+// one member index. Run then simulates each member over its share and
+// folds the federation summary (total carbon, the slowest member's
+// completion time, mean JCT) itself.
+//
 // Determinism rules (see DESIGN.md "Federation layer"): routing is a
 // serial fold over jobs in arrival order, router state is reset at the
 // start of every run, and each member cluster derives its simulation seed
@@ -37,18 +44,18 @@ import (
 
 // ClusterSpec describes one member cluster of the federation.
 type ClusterSpec struct {
-	// Name labels the cluster in results; defaults to Grid. Distinct
-	// names are recommended when several clusters share a grid.
+	// Name labels the cluster in errors and derives its seed; defaults
+	// to Grid. Distinct names are recommended when several clusters
+	// share a grid.
 	Name string
 	// Grid is the power-grid identifier the Signals source is queried
 	// with ("DE", "CAISO", ...).
 	Grid string
-	// Trace is the cluster's carbon-intensity signal, consumed by the
-	// member simulation and by the default trace-backed Signals.
-	Trace *carbon.Trace
-	// Config is the member cluster's engine configuration. Trace and
-	// Seed are overridden per run (the seed is derived from the
-	// federation seed and the cluster identity).
+	// Config is the member cluster's engine configuration. Its Trace is
+	// the cluster's carbon-intensity signal, read by the member
+	// simulation and by the default trace-backed Signals. Seed is
+	// overridden per run (derived from the federation seed and the
+	// cluster identity).
 	Config sim.Config
 	// NewScheduler builds the member cluster's scheduler. A fresh
 	// instance is built per run, seeded with the cluster's derived seed,
@@ -56,40 +63,14 @@ type ClusterSpec struct {
 	NewScheduler func(seed int64) sim.Scheduler
 }
 
-// JobInfo is what routers observe about a job at routing time.
-type JobInfo struct {
-	Job *dag.Job
-	// Arrival is the job's arrival time in experiment seconds.
-	Arrival float64
-	// Work is the job's total work in executor-seconds.
-	Work float64
-	// CriticalPath is the DAG's critical-path length in seconds, the
-	// lower bound on the job's span at any parallelism.
-	CriticalPath float64
-}
-
-// ClusterState is the per-cluster snapshot a router sees for one routing
-// decision. Intensity and the (Low, High) bounds come from the
-// federation's Signals source; RoutedJobs/RoutedWork account for
-// everything the router has already sent to the cluster, the cheap load
-// proxy available before the member simulations run.
+// ClusterState is the carbon signal a router sees of one member cluster
+// for one job, from the federation's Signals source.
 type ClusterState struct {
-	Index int
-	Name  string
-	// Executors is the cluster's effective per-job parallelism (the
-	// per-job cap when set, the cluster size otherwise).
-	Executors int
 	// Intensity is the grid's carbon intensity at the job's arrival.
 	Intensity float64
-	// Low and High are the forecast bounds over [arrival, arrival+Span].
+	// Low and High are the forecast bounds over the job's estimated span
+	// on this cluster, max(critical path, work / effective parallelism).
 	Low, High float64
-	// Span is the job's estimated wall span on this cluster in seconds:
-	// max(critical path, work / effective parallelism).
-	Span float64
-	// RoutedJobs and RoutedWork count what this router run has already
-	// assigned to the cluster.
-	RoutedJobs int
-	RoutedWork float64
 }
 
 // Router assigns each arriving job to a member cluster. Implementations
@@ -102,7 +83,7 @@ type Router interface {
 	// Route returns the index of the chosen cluster in [0, len(clusters)).
 	// The clusters slice is owned by the federation engine and only valid
 	// for the duration of the call.
-	Route(job JobInfo, clusters []ClusterState) int
+	Route(clusters []ClusterState) int
 }
 
 // Federation wires clusters, a router, and a signal source together.
@@ -117,25 +98,12 @@ type Federation struct {
 	Seed int64
 }
 
-// ClusterResult pairs one member cluster with its share of the run.
-type ClusterResult struct {
-	Name string
-	// Jobs is the number of jobs routed to the cluster.
-	Jobs int
-	// Sim is the member simulation outcome; nil when no jobs were
-	// routed here (the cluster stayed dark and emitted nothing).
-	Sim *sim.Result
-}
-
 // Result summarizes one federation run.
 type Result struct {
-	Router string
 	// Assignments maps each input job (by position) to the index of the
 	// cluster it was routed to.
 	Assignments []int
-	// PerCluster holds each member cluster's outcome in spec order.
-	PerCluster []ClusterResult
-	// Summary is the federated carbon/throughput account.
+	// Summary is the federated carbon and completion account.
 	Summary metrics.FederationSummary
 }
 
@@ -156,7 +124,7 @@ func (f *Federation) validate() error {
 	}
 	seen := map[string]*carbon.Trace{}
 	for i, c := range f.Clusters {
-		if c.Trace == nil {
+		if c.Config.Trace == nil {
 			return fmt.Errorf("federation: cluster %d (%s) has no trace", i, c.Name)
 		}
 		if c.NewScheduler == nil {
@@ -168,10 +136,10 @@ func (f *Federation) validate() error {
 		// Signals are grid-keyed, so clusters sharing a grid must share
 		// one trace — otherwise the router would score one cluster with
 		// another's signal.
-		if prev, ok := seen[c.Grid]; ok && prev != c.Trace {
+		if prev, ok := seen[c.Grid]; ok && prev != c.Config.Trace {
 			return fmt.Errorf("federation: clusters sharing grid %q must share one trace (signals are grid-keyed)", c.Grid)
 		}
-		seen[c.Grid] = c.Trace
+		seen[c.Grid] = c.Config.Trace
 	}
 	return nil
 }
@@ -186,11 +154,11 @@ func effectiveParallelism(cfg sim.Config) int {
 	return k
 }
 
-// Run routes the jobs and simulates every member cluster. Jobs are routed
-// in arrival order (ties broken by input position); each member cluster
-// then runs the engine over its share with a derived seed. Input jobs are
-// only read, so the same batch can be fed to several routers for
-// comparison.
+// Run routes the jobs, simulates every member cluster over its share,
+// and folds the federation summary. Jobs are routed in arrival order
+// (ties broken by input position); each member cluster then runs the
+// engine over its share with a derived seed. Input jobs are only read,
+// so the same batch can be fed to several routers for comparison.
 func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -209,7 +177,7 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	if sig == nil {
 		traces := make(map[string]*carbon.Trace, len(f.Clusters))
 		for _, c := range f.Clusters {
-			traces[c.Grid] = c.Trace
+			traces[c.Grid] = c.Config.Trace
 		}
 		sig = &TraceSignals{Traces: traces}
 	}
@@ -228,8 +196,6 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	assignments := make([]int, len(jobs))
 	shares := make([][]*dag.Job, len(f.Clusters))
 	states := make([]ClusterState, len(f.Clusters))
-	routedJobs := make([]int, len(f.Clusters))
-	routedWork := make([]float64, len(f.Clusters))
 	// Clusters sharing a grid see identical signals; memoize per job so
 	// the ClientSignals path issues one intensity request per distinct
 	// grid and one forecast request per distinct (grid, span), not one
@@ -243,19 +209,18 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	boundsCache := make(map[boundsKey]bounds, len(f.Clusters))
 	for _, ji := range order {
 		j := jobs[ji]
-		info := JobInfo{Job: j, Arrival: j.Arrival, Work: j.TotalWork(), CriticalPath: j.CriticalPathLength()}
+		work, cp := j.TotalWork(), j.CriticalPathLength()
 		clear(intensityCache)
 		clear(boundsCache)
 		for ci, spec := range f.Clusters {
-			eff := effectiveParallelism(spec.Config)
-			span := math.Max(info.CriticalPath, info.Work/float64(eff))
+			span := math.Max(cp, work/float64(effectiveParallelism(spec.Config)))
 			if span <= 0 {
-				span = spec.Trace.Interval
+				span = spec.Config.Trace.Interval
 			}
 			intensity, ok := intensityCache[spec.Grid]
 			if !ok {
 				var err error
-				intensity, err = sig.Intensity(spec.Grid, info.Arrival)
+				intensity, err = sig.Intensity(spec.Grid, j.Arrival)
 				if err != nil {
 					return nil, fmt.Errorf("federation: intensity for %s: %w", names[ci], err)
 				}
@@ -264,66 +229,49 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 			bk := boundsKey{grid: spec.Grid, span: span}
 			b, ok := boundsCache[bk]
 			if !ok {
-				lo, hi, err := sig.Bounds(spec.Grid, info.Arrival, span)
+				lo, hi, err := sig.Bounds(spec.Grid, j.Arrival, span)
 				if err != nil {
 					return nil, fmt.Errorf("federation: forecast for %s: %w", names[ci], err)
 				}
 				b = bounds{lo: lo, hi: hi}
 				boundsCache[bk] = b
 			}
-			states[ci] = ClusterState{
-				Index:      ci,
-				Name:       names[ci],
-				Executors:  eff,
-				Intensity:  intensity,
-				Low:        b.lo,
-				High:       b.hi,
-				Span:       span,
-				RoutedJobs: routedJobs[ci],
-				RoutedWork: routedWork[ci],
-			}
+			states[ci] = ClusterState{Intensity: intensity, Low: b.lo, High: b.hi}
 		}
-		idx := f.Router.Route(info, states)
+		idx := f.Router.Route(states)
 		if idx < 0 || idx >= len(f.Clusters) {
 			return nil, fmt.Errorf("federation: router %s returned cluster %d of %d",
 				f.Router.Name(), idx, len(f.Clusters))
 		}
 		assignments[ji] = idx
-		routedJobs[idx]++
-		routedWork[idx] += info.Work
 		shares[idx] = append(shares[idx], j)
 	}
 
-	// Simulate every member cluster over its share.
-	var acct metrics.FederationAccountant
-	per := make([]ClusterResult, len(f.Clusters))
+	// Simulate every member cluster over its share, folding the summary
+	// in spec order: carbon adds up, the slowest member sets the
+	// makespan (clusters run in parallel), and every routed job's JCT
+	// counts once. A dark member (no jobs routed) runs nothing and adds
+	// nothing.
+	var sum metrics.FederationSummary
+	var sumJCT float64
 	for ci, spec := range f.Clusters {
-		per[ci] = ClusterResult{Name: names[ci], Jobs: len(shares[ci])}
 		if len(shares[ci]) == 0 {
-			acct.Add(metrics.ClusterShare{Name: names[ci]})
 			continue
 		}
 		cfg := spec.Config
-		cfg.Trace = spec.Trace
 		cfg.Seed = clusterSeed(f.Seed, names[ci], ci)
 		res, err := sim.Run(cfg, shares[ci], spec.NewScheduler(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("federation: cluster %s: %w", names[ci], err)
 		}
-		per[ci].Sim = res
-		acct.Add(metrics.ClusterShare{
-			Name:        names[ci],
-			Jobs:        len(shares[ci]),
-			CarbonGrams: res.CarbonGrams,
-			Work:        res.TotalWork,
-			Makespan:    res.ECT,
-			JCTs:        res.JCTs,
-		})
+		sum.CarbonGrams += res.CarbonGrams
+		if res.ECT > sum.Makespan {
+			sum.Makespan = res.ECT
+		}
+		for _, jct := range res.JCTs {
+			sumJCT += jct
+		}
 	}
-	return &Result{
-		Router:      f.Router.Name(),
-		Assignments: assignments,
-		PerCluster:  per,
-		Summary:     acct.Summary(),
-	}, nil
+	sum.AvgJCT = sumJCT / float64(len(jobs))
+	return &Result{Assignments: assignments, Summary: sum}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
 	"pcaps/internal/dag"
+	"pcaps/internal/metrics"
 	"pcaps/internal/sched"
 	"pcaps/internal/sim"
 )
@@ -38,10 +39,18 @@ func stepTrace(t *testing.T, grid string, vals []float64) *carbon.Trace {
 func fifoSpec(grid string, tr *carbon.Trace) ClusterSpec {
 	return ClusterSpec{
 		Grid:         grid,
-		Trace:        tr,
-		Config:       sim.Config{NumExecutors: 8},
+		Config:       sim.Config{NumExecutors: 8, Trace: tr},
 		NewScheduler: func(int64) sim.Scheduler { return &sched.FIFO{} },
 	}
+}
+
+// clusterCounts is the number of jobs routed to each of n clusters.
+func clusterCounts(assignments []int, n int) []int {
+	counts := make([]int, n)
+	for _, idx := range assignments {
+		counts[idx]++
+	}
+	return counts
 }
 
 func testJobs(n int, gap float64) []*dag.Job {
@@ -74,13 +83,8 @@ func TestRoundRobinDistribution(t *testing.T) {
 	if !reflect.DeepEqual(res.Assignments, want) {
 		t.Fatalf("assignments = %v, want %v", res.Assignments, want)
 	}
-	for i, pc := range res.PerCluster {
-		if pc.Jobs != 3 || pc.Sim == nil {
-			t.Fatalf("cluster %d share = %d jobs (sim nil=%v), want 3", i, pc.Jobs, pc.Sim == nil)
-		}
-	}
-	if res.Summary.Jobs != 9 {
-		t.Fatalf("summary jobs = %d", res.Summary.Jobs)
+	if counts := clusterCounts(res.Assignments, 3); !reflect.DeepEqual(counts, []int{3, 3, 3}) {
+		t.Fatalf("jobs per cluster = %v, want 3 each", counts)
 	}
 }
 
@@ -139,44 +143,106 @@ func TestLowestIntensityBeatsRoundRobin(t *testing.T) {
 		t.Fatalf("lowest-intensity %v g not below round-robin %v g",
 			li.Summary.CarbonGrams, rr.Summary.CarbonGrams)
 	}
-	for i, idx := range li.Assignments {
-		if idx != 1 {
-			t.Fatalf("job %d routed to dirty cluster", i)
+	// Every job goes to the clean cluster; the dirty one stays dark.
+	if counts := clusterCounts(li.Assignments, 2); !reflect.DeepEqual(counts, []int{0, len(jobs)}) {
+		t.Fatalf("jobs per cluster = %v, want all %d on the clean one", counts, len(jobs))
+	}
+}
+
+// TestSummaryFoldsMemberRuns: Run's summary is the fold of independent
+// member simulations over each member's share of Assignments, seeded by
+// clusterSeed: carbon summed in spec order, the slowest member's ECT as
+// the makespan, and every JCT summed, then divided by the batch size. A
+// dark member runs nothing and adds nothing.
+func TestSummaryFoldsMemberRuns(t *testing.T) {
+	// Two executors leave several jobs queued at once, so Decima's
+	// seeded sampling decides the order and a wrong seed shows.
+	decimaSpec := func(grid string, tr *carbon.Trace) ClusterSpec {
+		c := fifoSpec(grid, tr)
+		c.Config.NumExecutors = 2
+		c.NewScheduler = func(seed int64) sim.Scheduler { return sched.NewDecima(seed) }
+		return c
+	}
+	clusters := []ClusterSpec{
+		decimaSpec("A", stepTrace(t, "A", []float64{300, 120, 300, 120, 300, 120, 300, 120})),
+		decimaSpec("B", stepTrace(t, "B", []float64{100, 400, 100, 400, 100, 400, 100, 400})),
+		decimaSpec("C", flatTrace(t, "C", 900, 8)),
+	}
+	clusters[1].Name = "west" // the seed derives from the name, not the grid
+	const fedSeed = 9
+	// Jobs of unequal shapes, so the order Decima samples changes the
+	// JCTs and the carbon.
+	jobs := make([]*dag.Job, 12)
+	for i := range jobs {
+		b := dag.NewBuilder(i, "fed")
+		b.Chain(b.Stage("map", 1+i%4, float64(20+15*(i%3))), b.Stage("reduce", 1+i%2, 25))
+		jobs[i] = b.MustBuild()
+		jobs[i].Arrival = float64(i) * 10
+	}
+	res, err := (&Federation{Clusters: clusters, Router: NewLowestIntensity(), Seed: fedSeed}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The jobs arrive in input order, so each share in input order is
+	// the batch its member simulated.
+	shares := make([][]*dag.Job, len(clusters))
+	for ji, ci := range res.Assignments {
+		shares[ci] = append(shares[ci], jobs[ji])
+	}
+	if len(shares[0]) == 0 || len(shares[1]) == 0 || len(shares[2]) != 0 {
+		t.Fatalf("jobs per cluster = %v, want A and B busy and C dark", clusterCounts(res.Assignments, 3))
+	}
+	var want metrics.FederationSummary
+	var sumJCT float64
+	for ci, c := range clusters {
+		if len(shares[ci]) == 0 {
+			continue
+		}
+		name := c.Name
+		if name == "" {
+			name = c.Grid
+		}
+		cfg := c.Config
+		cfg.Seed = clusterSeed(fedSeed, name, ci)
+		r, err := sim.Run(cfg, shares[ci], c.NewScheduler(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.CarbonGrams += r.CarbonGrams
+		want.Makespan = math.Max(want.Makespan, r.ECT)
+		for _, jct := range r.JCTs {
+			sumJCT += jct
 		}
 	}
-	// The dark cluster emitted nothing and has no simulation.
-	if li.PerCluster[0].Sim != nil || li.PerCluster[0].Jobs != 0 {
-		t.Fatalf("dirty cluster should be dark: %+v", li.PerCluster[0])
+	want.AvgJCT = sumJCT / float64(len(jobs))
+	if res.Summary != want {
+		t.Fatalf("summary = %+v, want the fold of the member runs %+v", res.Summary, want)
 	}
 }
 
 func TestForecastAwareHysteresis(t *testing.T) {
 	r := NewForecastAware() // default 5% margin
 	states := func(a, b float64) []ClusterState {
-		return []ClusterState{
-			{Index: 0, Name: "A", Low: a, High: a},
-			{Index: 1, Name: "B", Low: b, High: b},
-		}
+		return []ClusterState{{Low: a, High: a}, {Low: b, High: b}}
 	}
-	var job JobInfo
-	if got := r.Route(job, states(100, 95)); got != 1 {
+	if got := r.Route(states(100, 95)); got != 1 {
 		t.Fatalf("initial pick = %d, want 1 (cleaner)", got)
 	}
 	// Challenger A (100) is within 5% of the incumbent B (102): stick.
-	if got := r.Route(job, states(100, 102)); got != 1 {
+	if got := r.Route(states(100, 102)); got != 1 {
 		t.Fatalf("within-margin pick = %d, want incumbent 1", got)
 	}
 	// Incumbent degrades past the margin: switch.
-	if got := r.Route(job, states(100, 120)); got != 0 {
+	if got := r.Route(states(100, 120)); got != 0 {
 		t.Fatalf("beyond-margin pick = %d, want 0", got)
 	}
 	// The new incumbent now enjoys the same stickiness.
-	if got := r.Route(job, states(103, 100)); got != 0 {
+	if got := r.Route(states(103, 100)); got != 0 {
 		t.Fatalf("post-switch within-margin pick = %d, want incumbent 0", got)
 	}
 	// Reset clears the anchor: a fresh run picks the current best.
 	r.Reset()
-	if got := r.Route(job, states(100, 102)); got != 0 {
+	if got := r.Route(states(100, 102)); got != 0 {
 		t.Fatalf("post-reset pick = %d, want 0", got)
 	}
 }
@@ -184,9 +250,9 @@ func TestForecastAwareHysteresis(t *testing.T) {
 // badRouter returns an out-of-range index.
 type badRouter struct{}
 
-func (badRouter) Name() string                      { return "bad" }
-func (badRouter) Reset()                            {}
-func (badRouter) Route(JobInfo, []ClusterState) int { return 99 }
+func (badRouter) Name() string             { return "bad" }
+func (badRouter) Reset()                   {}
+func (badRouter) Route([]ClusterState) int { return 99 }
 
 func TestRunValidation(t *testing.T) {
 	tr := flatTrace(t, "A", 100, 8)

@@ -14,7 +14,7 @@ func (r *RoundRobin) Name() string { return "round-robin" }
 func (r *RoundRobin) Reset() { r.next = 0 }
 
 // Route implements Router.
-func (r *RoundRobin) Route(_ JobInfo, clusters []ClusterState) int {
+func (r *RoundRobin) Route(clusters []ClusterState) int {
 	idx := r.next % len(clusters)
 	r.next++
 	return idx
@@ -36,7 +36,7 @@ func (LowestIntensity) Name() string { return "lowest-intensity" }
 func (LowestIntensity) Reset() {}
 
 // Route implements Router.
-func (LowestIntensity) Route(_ JobInfo, clusters []ClusterState) int {
+func (LowestIntensity) Route(clusters []ClusterState) int {
 	best := 0
 	for i := 1; i < len(clusters); i++ {
 		if clusters[i].Intensity < clusters[best].Intensity {
@@ -81,7 +81,7 @@ func (f *ForecastAware) Reset() { f.last = -1 }
 func (f *ForecastAware) score(c ClusterState) float64 { return (c.Low + c.High) / 2 }
 
 // Route implements Router.
-func (f *ForecastAware) Route(_ JobInfo, clusters []ClusterState) int {
+func (f *ForecastAware) Route(clusters []ClusterState) int {
 	best := 0
 	for i := 1; i < len(clusters); i++ {
 		if f.score(clusters[i]) < f.score(clusters[best]) {

@@ -2,41 +2,15 @@ package metrics
 
 import "pcaps/internal/result"
 
-// ClusterShare is one member cluster's contribution to a federated run:
-// the jobs it served, the carbon it emitted, the work it completed, and
-// its local makespan and per-job completion times. A dark cluster (no
-// jobs routed) contributes a zero share.
-type ClusterShare struct {
-	Name        string
-	Jobs        int
-	CarbonGrams float64
-	// Work is completed work in executor-seconds.
-	Work float64
-	// Makespan is the cluster-local end-to-end completion time.
-	Makespan float64
-	// JCTs are the cluster's per-job completion times.
-	JCTs []float64
-}
-
 // FederationSummary is the cross-cluster account of one federated run.
 type FederationSummary struct {
-	Jobs        int
+	// CarbonGrams is the gCO2eq emitted across every member cluster.
 	CarbonGrams float64
-	// Work is total completed work in executor-seconds.
-	Work float64
 	// Makespan is the federation-wide completion time (clusters run in
 	// parallel, so the slowest member defines it).
 	Makespan float64
 	// AvgJCT is the mean job completion time across every routed job.
 	AvgJCT float64
-	// Throughput is completed work per second of federation makespan,
-	// in executor-seconds per second.
-	Throughput float64
-	// GramsPerExecHour is the run's carbon efficiency: gCO2eq emitted
-	// per executor-hour of completed work.
-	GramsPerExecHour float64
-	// Shares holds the per-cluster breakdown in Add order.
-	Shares []ClusterShare
 }
 
 // FederationColumns is the typed column set of a federation comparison
@@ -63,40 +37,4 @@ func (s FederationSummary) Row(policy string, baseline FederationSummary) []resu
 		result.Float(s.Makespan),
 		result.Float(s.AvgJCT),
 	}
-}
-
-// FederationAccountant folds per-cluster outcomes into a federation-wide
-// carbon/throughput account. The zero value is ready to use.
-type FederationAccountant struct {
-	shares []ClusterShare
-}
-
-// Add records one cluster's share.
-func (a *FederationAccountant) Add(s ClusterShare) { a.shares = append(a.shares, s) }
-
-// Summary computes the federated account over everything added so far.
-func (a *FederationAccountant) Summary() FederationSummary {
-	out := FederationSummary{Shares: a.shares}
-	var sumJCT float64
-	for _, s := range a.shares {
-		out.Jobs += s.Jobs
-		out.CarbonGrams += s.CarbonGrams
-		out.Work += s.Work
-		if s.Makespan > out.Makespan {
-			out.Makespan = s.Makespan
-		}
-		for _, jct := range s.JCTs {
-			sumJCT += jct
-		}
-	}
-	if out.Jobs > 0 {
-		out.AvgJCT = sumJCT / float64(out.Jobs)
-	}
-	if out.Makespan > 0 {
-		out.Throughput = out.Work / out.Makespan
-	}
-	if out.Work > 0 {
-		out.GramsPerExecHour = out.CarbonGrams / (out.Work / 3600)
-	}
-	return out
 }

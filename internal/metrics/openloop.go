@@ -78,9 +78,9 @@ type OpenLoop struct {
 	// MeanBacklog and PeakBacklog characterize the in-flight job count:
 	// time-weighted mean and maximum depth.
 	MeanBacklog, PeakBacklog float64
-	// P50JCT, P95JCT, and P99JCT are job-completion-time quantiles in
-	// seconds (sojourn time: completion − arrival).
-	P50JCT, P95JCT, P99JCT float64
+	// P50JCT and P99JCT are job-completion-time quantiles in seconds
+	// (sojourn time: completion − arrival).
+	P50JCT, P99JCT float64
 	// MeanQueueDelay is the mean excess of JCT over the job's ideal
 	// lower bound (its critical-path length): time attributable to
 	// queueing and contention rather than the job's own serial work.
@@ -116,7 +116,6 @@ func SummarizeOpenLoop(arrivals, jcts, criticalPaths []float64) OpenLoop {
 		MeanBacklog:    mean,
 		PeakBacklog:    peak,
 		P50JCT:         Quantile(jcts, 0.50),
-		P95JCT:         Quantile(jcts, 0.95),
 		P99JCT:         Quantile(jcts, 0.99),
 		MeanQueueDelay: delay / float64(n),
 	}

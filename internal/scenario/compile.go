@@ -749,12 +749,10 @@ func (r *runEnv) runFederation(p *plan) (*result.Artifact, error) {
 					src = v.pin
 				}
 				m := members[src]
-				tr := windows[src]
 				clusters[ci] = fed.ClusterSpec{
 					Name:         fmt.Sprintf("%s-%d", m.key, ci),
 					Grid:         m.grid,
-					Trace:        tr,
-					Config:       r.baseConfig(tr, cellSeed, m),
+					Config:       r.baseConfig(windows[src], cellSeed, m),
 					NewScheduler: v.sched,
 				}
 			}

@@ -33,16 +33,14 @@ type Inputs struct {
 	// drawn at the spec seed. (Individual trials derive their batches
 	// from per-cell seeds; the template documents the workload shape.)
 	Jobs []*dag.Job
-	// Mix, JobsN, InterarrivalSec, Seed, and Hours echo the resolved
-	// batch/trace configuration, for provenance headers.
-	Mix             string
-	JobsN           int
-	InterarrivalSec float64
-	Seed            int64
-	Hours           int
+	// Mix, JobsN, Seed, and Hours echo the resolved batch/trace
+	// configuration, for provenance headers.
+	Mix   string
+	JobsN int
+	Seed  int64
+	Hours int
 	// Arrivals is the resolved arrival process (csv schedules loaded);
-	// the paper's Poisson when the spec declares none. InterarrivalSec
-	// echoes its mean for the poisson kind and is 0 otherwise.
+	// the paper's Poisson when the spec declares none.
 	Arrivals arrivals.Spec
 	// Classes echoes the resolved heterogeneous class set (nil for
 	// homogeneous batches).
@@ -73,19 +71,14 @@ func (p *Program) Inputs(env Env) (out *Inputs, err error) {
 		return nil, err
 	}
 	n := pl.sizes[0]
-	inter := 0.0
-	if r.arr.Kind == arrivals.KindPoisson {
-		inter = r.arr.MeanSec
-	}
 	out = &Inputs{
-		Jobs:            r.batch(n, r.seed),
-		Mix:             r.mix.String(),
-		JobsN:           n,
-		InterarrivalSec: inter,
-		Seed:            r.seed,
-		Hours:           r.hours,
-		Arrivals:        r.arr,
-		Classes:         p.spec.Workload.Classes,
+		Jobs:     r.batch(n, r.seed),
+		Mix:      r.mix.String(),
+		JobsN:    n,
+		Seed:     r.seed,
+		Hours:    r.hours,
+		Arrivals: r.arr,
+		Classes:  p.spec.Workload.Classes,
 	}
 	seen := map[string]bool{}
 	for _, ms := range pl.sets {
