@@ -335,7 +335,7 @@ func BenchmarkSchedLoopHoldOn(b *testing.B) {
 
 func benchFederationClusters(b *testing.B) []federation.ClusterSpec {
 	b.Helper()
-	mk := func(grid string, base, swing float64) federation.ClusterSpec {
+	mk := func(name string, base, swing float64) federation.ClusterSpec {
 		vals := make([]float64, 3600)
 		for i := range vals {
 			if i%24 < 12 {
@@ -344,12 +344,12 @@ func benchFederationClusters(b *testing.B) []federation.ClusterSpec {
 				vals[i] = base + swing
 			}
 		}
-		tr, err := carbon.New(grid, 60, vals)
+		tr, err := carbon.New(name, 60, vals)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return federation.ClusterSpec{
-			Grid:         grid,
+			Name:         name,
 			Config:       sim.Config{NumExecutors: 50, Trace: tr},
 			NewScheduler: func(int64) sim.Scheduler { return &sched.FIFO{} },
 		}

@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := scenario.PaperSimConfig(true, window, 0)
+	cfg := scenario.PaperSimConfig(true, window)
 	def, err := sim.Run(cfg, jobs, sched.NewKubeDefault())
 	if err != nil {
 		log.Fatal(err)

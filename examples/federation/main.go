@@ -1,8 +1,8 @@
 // federation: the multi-grid federation layer end-to-end over HTTP — a
 // carbonapi server replays three regional grids, member clusters fetch
-// their trace windows through the API, and the job routers poll the same
-// server for intensities and forecast bounds (the prototype's daemon
-// path, exercised here via an in-process httptest server).
+// their trace windows through the API, and the job routers route on
+// those fetched windows: each member's intensity and forecast bounds
+// come from the same trace its simulation charges carbon against.
 //
 //	go run ./examples/federation
 package main
@@ -49,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		clusters[i] = federation.ClusterSpec{
-			Grid: g,
+			Name: g,
 			Config: sim.Config{
 				NumExecutors:  50,
 				Trace:         window,
@@ -65,16 +65,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	signals := &federation.ClientSignals{Client: client}
 	routers := []federation.Router{
 		federation.NewRoundRobin(),
 		federation.NewLowestIntensity(),
 		federation.NewForecastAware(),
 	}
-	fmt.Printf("routing %d jobs across %d clusters (signals polled over HTTP):\n", len(jobs), len(clusters))
+	fmt.Printf("routing %d jobs across %d clusters (signals read from the fetched windows):\n", len(jobs), len(clusters))
 	var baseline float64
 	for _, r := range routers {
-		f := &federation.Federation{Clusters: clusters, Router: r, Signals: signals, Seed: 7}
+		f := &federation.Federation{Clusters: clusters, Router: r, Seed: 7}
 		res, err := f.Run(jobs)
 		if err != nil {
 			log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 		"grid", "coeff.var", "PCAPS ΔCO2", "CAP ΔCO2", "PCAPS ECT", "CAP ECT")
 	for _, name := range carbon.SortedNames(traces) {
 		tr := traces[name]
-		cfg := scenario.PaperSimConfig(false, tr, 1)
+		cfg := scenario.PaperSimConfig(false, tr)
 		run := func(s sim.Scheduler) *sim.Result {
 			res, err := sim.Run(cfg, jobs, s)
 			if err != nil {

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := scenario.PaperSimConfig(false, tr, 1)
+	cfg := scenario.PaperSimConfig(false, tr)
 	run := func(s sim.Scheduler) *sim.Result {
 		res, err := sim.Run(cfg, jobs, s)
 		if err != nil {

@@ -7,9 +7,10 @@
 // provides construction, validation, topological utilities, and the
 // critical-path computations the schedulers rely on.
 //
-// Only the constructors, Builder.Build and Job.Link, write a job's edge
-// lists; everything else, Validate included, only reads a job, so one job
-// may serve any number of runs at once.
+// Only Job.Link writes a job's edge lists: Builder.Build and every JSON
+// decoder construct a job through it. Everything else, Validate
+// included, only reads a job, so one job may serve any number of runs at
+// once.
 package dag
 
 import (
@@ -33,8 +34,9 @@ type Stage struct {
 	// experiment time on one executor. Must be > 0.
 	TaskDuration float64
 	// Parents and Children are stage IDs of direct predecessors and
-	// successors, strictly ascending: Builder.Build and Job.Link sort and
-	// deduplicate them, and Validate rejects a list that is not.
+	// successors, strictly ascending: Job.Link sorts and deduplicates the
+	// parents and rebuilds the children from them, and Validate rejects
+	// a list that is not.
 	Parents  []int
 	Children []int
 }
@@ -128,8 +130,8 @@ func checkEdges(ids []int, n int) (int, error) {
 	return 0, nil
 }
 
-// normalize sorts and deduplicates an edge list in place; only the
-// constructors call it, on lists they own.
+// normalize sorts and deduplicates an edge list in place; only Link
+// calls it, on lists the job owns.
 func normalize(ids []int) []int {
 	slices.Sort(ids)
 	return slices.Compact(ids)
@@ -288,9 +290,9 @@ func (b *Builder) Stage(name string, numTasks int, taskDuration float64) int {
 	return id
 }
 
-// Edge adds a precedence edge parent → child.
+// Edge adds a precedence edge parent → child. Only the child's parent
+// list records it; Build derives the children.
 func (b *Builder) Edge(parent, child int) *Builder {
-	b.job.Stages[parent].Children = append(b.job.Stages[parent].Children, child)
 	b.job.Stages[child].Parents = append(b.job.Stages[child].Parents, parent)
 	return b
 }
@@ -303,14 +305,11 @@ func (b *Builder) Chain(ids ...int) *Builder {
 	return b
 }
 
-// Build sorts and deduplicates every stage's edge lists, then validates
-// and returns the job.
+// Build completes the job through Link, which sorts and deduplicates the
+// parent edges, derives the children and validates, and returns it. A
+// parent outside the job is ErrBadEdge.
 func (b *Builder) Build() (*Job, error) {
-	for _, s := range b.job.Stages {
-		s.Parents = normalize(s.Parents)
-		s.Children = normalize(s.Children)
-	}
-	if err := b.job.Validate(); err != nil {
+	if err := b.job.Link(); err != nil {
 		return nil, err
 	}
 	return b.job, nil

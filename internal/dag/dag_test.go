@@ -203,6 +203,18 @@ func TestBuildNormalizesEdges(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsUnknownParent: an edge from a stage the job does not
+// have fails Build with ErrBadEdge, as it fails Link for a decoded job.
+func TestBuildRejectsUnknownParent(t *testing.T) {
+	for _, parent := range []int{-1, 5} {
+		b := NewBuilder(0, "bad")
+		b.Edge(parent, b.Stage("a", 1, 1))
+		if _, err := b.Build(); !errors.Is(err, ErrBadEdge) {
+			t.Errorf("parent %d: Build error = %v, want ErrBadEdge", parent, err)
+		}
+	}
+}
+
 func TestChainBuilder(t *testing.T) {
 	b := NewBuilder(7, "chain")
 	ids := []int{b.Stage("a", 1, 1), b.Stage("b", 1, 1), b.Stage("c", 1, 1)}

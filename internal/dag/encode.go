@@ -59,14 +59,13 @@ func (j *Job) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Link completes a job read from its serialized form, whose stages
-// carry their own fields and parent edges only: it numbers the stages
-// densely in slice order, sorts and deduplicates each parent list,
-// rebuilds every child edge from the parent lists (a parent outside the
-// job is ErrBadEdge), and validates the graph. An empty parent list
-// becomes nil. Every decoder that reads a Job from JSON builds it
-// through Link, UnmarshalJSON included, so the wire form has one
-// construction rule.
+// Link completes a job whose stages carry their own fields and parent
+// edges only: it numbers the stages densely in slice order, sorts and
+// deduplicates each parent list, rebuilds every child edge from the
+// parent lists (a parent outside the job is ErrBadEdge), and validates
+// the graph. An empty parent list becomes nil. Builder.Build and every
+// decoder that reads a Job from JSON, UnmarshalJSON included, build the
+// job through Link, so a job has one construction rule.
 func (j *Job) Link() error {
 	for i, s := range j.Stages {
 		s.ID = i

@@ -26,7 +26,7 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	runSeed := e.opt.Seed
 	jobs := batch(n, 30, workload.MixTPCH, runSeed)
 	tr := scenario.TrialWindow(e.traces["DE"], 60+n, seed.Derive(runSeed, "DE", int64(n)))
-	cfg := scenario.PaperSimConfig(false, tr, runSeed)
+	cfg := scenario.PaperSimConfig(false, tr)
 	gamma := 0.6
 	mk := func() sched.Probabilistic { return sched.NewDecima(runSeed) }
 	variants := []sim.Scheduler{

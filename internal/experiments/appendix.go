@@ -66,7 +66,7 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		jobs := batch(njobs, inter, mix, cellSeed)
 		window := 60 + njobs*int(inter+29)/30/1 // rough sizing; Slice clamps
 		tr := scenario.TrialWindow(e.traces["DE"], window, cellSeed)
-		cfg := scenario.PaperSimConfig(proto, tr, cellSeed)
+		cfg := scenario.PaperSimConfig(proto, tr)
 		baseSched := sim.Scheduler(&sched.FIFO{})
 		capInner := func() sim.Scheduler { return &sched.FIFO{} }
 		if proto {
@@ -190,7 +190,7 @@ func fig20(opt Options) (*result.Artifact, error) {
 	for _, qn := range queueSizes {
 		seed := e.opt.Seed
 		jobs := batch(qn, 0.001, workload.MixTPCH, seed) // all queued at once
-		lat := measurePickLatency(scenario.PaperSimConfig(false, tr, seed), jobs, reps, map[string]func() sim.Scheduler{
+		lat := measurePickLatency(scenario.PaperSimConfig(false, tr), jobs, reps, map[string]func() sim.Scheduler{
 			"FIFO":     func() sim.Scheduler { return &sched.FIFO{} },
 			"CAP-FIFO": func() sim.Scheduler { return sched.NewCAP(&sched.FIFO{}, 20) },
 			"Decima":   func() sim.Scheduler { return sched.NewDecima(seed) },

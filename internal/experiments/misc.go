@@ -102,7 +102,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 	tr := e.traces["DE"].Slice(0, 200*60)
 	seed := e.opt.Seed
 	jobs := batch(20, 30, workload.MixTPCH, seed)
-	cfg := scenario.PaperSimConfig(false, tr, seed)
+	cfg := scenario.PaperSimConfig(false, tr)
 	cfg.NumExecutors = 5
 	cfg.TrackJobUsage = true
 	const hours = 40 // the experiment's visible window (paper shows 15)
@@ -174,7 +174,7 @@ func fig9(opt Options) (*result.Artifact, error) {
 		cellSeed := seed.Derive(e.opt.Seed, c.grid, int64(c.trial))
 		jobs := batch(n, 30, workload.MixBoth, cellSeed)
 		tr := scenario.TrialWindow(e.traces[c.grid], 60+n, cellSeed)
-		cfg := scenario.PaperSimConfig(true, tr, cellSeed)
+		cfg := scenario.PaperSimConfig(true, tr)
 		runs[i] = mustRunGroup(cfg, jobs, sched.NewKubeDefault(),
 			sched.NewPCAPS(sched.NewDecima(cellSeed), 0.5, cellSeed), sched.NewCAP(sched.NewKubeDefault(), 20))
 	})
@@ -283,9 +283,9 @@ func fig15(opt Options) (*result.Artifact, error) {
 	pair := make([]*sim.Result, 2)
 	e.opt.pool.ForEach(2, func(i int) {
 		if i == 0 {
-			pair[0] = mustRun(scenario.PaperSimConfig(false, tr, seed), jobs, &sched.FIFO{})
+			pair[0] = mustRun(scenario.PaperSimConfig(false, tr), jobs, &sched.FIFO{})
 		} else {
-			pair[1] = mustRun(scenario.PaperSimConfig(true, tr, seed), jobs, sched.NewKubeDefault())
+			pair[1] = mustRun(scenario.PaperSimConfig(true, tr), jobs, sched.NewKubeDefault())
 		}
 	})
 	fifo, proto := pair[0], pair[1]

@@ -115,7 +115,7 @@ func runOverload(opt Options) (*result.Artifact, error) {
 			cps[k] = j.CriticalPathLength()
 		}
 		tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed)
-		cfg := scenario.PaperSimConfig(false, tr, cellSeed)
+		cfg := scenario.PaperSimConfig(false, tr)
 		group := mustRunGroup(cfg, jobs, newScheds(cellSeed)...)
 		out := cellOut{
 			open:   make([]metrics.OpenLoop, len(group)),

@@ -121,7 +121,7 @@ func fig13(opt Options) (*result.Artifact, error) {
 		cellSeed := seed.Derive(opt.Seed, "DE", int64(t))
 		jobs := batch(n, 30, workload.MixTPCH, cellSeed)
 		tr := scenario.TrialWindow(e.traces["DE"], 60+n, cellSeed)
-		cfg := scenario.PaperSimConfig(false, tr, cellSeed)
+		cfg := scenario.PaperSimConfig(false, tr)
 		scheds := make([]sim.Scheduler, 0, perTrial+1)
 		scheds = append(scheds, sched.NewDecima(cellSeed))
 		for _, g := range gammas {

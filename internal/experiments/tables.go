@@ -171,7 +171,7 @@ func table2(opt Options) (*result.Artifact, error) {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
 		tr := scenario.TrialWindow(e.traces[c.grid], window, seed)
-		cfg := scenario.PaperSimConfig(true, tr, seed)
+		cfg := scenario.PaperSimConfig(true, tr)
 		return mustRunGroup(cfg, jobs,
 			sched.NewKubeDefault(), sched.NewDecima(seed),
 			sched.NewCAP(sched.NewKubeDefault(), 20), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
@@ -192,7 +192,7 @@ func table3(opt Options) (*result.Artifact, error) {
 	t := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) []*sim.Result {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
 		tr := scenario.TrialWindow(e.traces[c.grid], 60+c.size, seed)
-		cfg := scenario.PaperSimConfig(false, tr, seed)
+		cfg := scenario.PaperSimConfig(false, tr)
 		return mustRunGroup(cfg, jobs,
 			&sched.FIFO{}, &sched.WeightedFair{}, sched.NewDecima(seed), sched.NewGreenHadoop(),
 			sched.NewCAP(&sched.FIFO{}, 20), sched.NewCAP(&sched.WeightedFair{}, 20),

@@ -1,6 +1,6 @@
 // Package federation simulates a geographically distributed deployment:
-// K member clusters, each pinned to a different power grid (and therefore
-// to a different carbon-intensity trace), with a job router in front. Jobs
+// K member clusters, each with its own carbon-intensity trace (typically
+// a different power grid's), with a job router in front. Jobs
 // arrive at the federation, a routing policy assigns each to one cluster
 // at its arrival instant, and the per-cluster scheduler (FIFO, CAP,
 // PCAPS, ...) takes over from there — routing composes with, and happens
@@ -15,18 +15,20 @@
 // internal/sim runs each member cluster unchanged.
 //
 // A router sees only the carbon signals the paper's decisions read: per
-// member, the grid's intensity at the job's arrival and its forecast
-// bounds (L, U) over the job's estimated span on that member. It returns
+// member, the intensity of that member's own trace (Config.Trace, the
+// trace its simulation charges carbon against) at the job's arrival, and
+// that trace's bounds (L, U) over the job's estimated span on the
+// member, which the paper treats as an exact forecast (§6.1). It returns
 // one member index. Run then simulates each member over its share and
 // folds the federation summary (total carbon, the slowest member's
 // completion time, mean JCT) itself.
 //
 // Determinism rules (see DESIGN.md "Federation layer"): routing is a
 // serial fold over jobs in arrival order, router state is reset at the
-// start of every run, and each member cluster derives its simulation seed
-// from the federation seed and the cluster's own identity — so a
-// federation run is a pure function of (jobs, specs, router, seed) and
-// experiment cells can fan out over workers without changing results.
+// start of every run, and each member cluster derives its scheduler seed
+// from the federation seed and the cluster's name — so a federation run
+// is a pure function of (jobs, specs, router, seed) and experiment cells
+// can fan out over workers without changing results.
 package federation
 
 import (
@@ -35,7 +37,6 @@ import (
 	"math"
 	"sort"
 
-	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/seed"
@@ -44,31 +45,25 @@ import (
 
 // ClusterSpec describes one member cluster of the federation.
 type ClusterSpec struct {
-	// Name labels the cluster in errors and derives its seed; defaults
-	// to Grid. Distinct names are recommended when several clusters
-	// share a grid.
+	// Name labels the cluster in errors and derives its seed.
 	Name string
-	// Grid is the power-grid identifier the Signals source is queried
-	// with ("DE", "CAISO", ...).
-	Grid string
-	// Config is the member cluster's engine configuration. Its Trace is
-	// the cluster's carbon-intensity signal, read by the member
-	// simulation and by the default trace-backed Signals. Seed is
-	// overridden per run (derived from the federation seed and the
-	// cluster identity).
+	// Config is the member cluster's engine configuration, used as
+	// given. Its Trace is the cluster's carbon-intensity signal: the
+	// router reads it at each arrival and the member simulation charges
+	// carbon against it.
 	Config sim.Config
 	// NewScheduler builds the member cluster's scheduler. A fresh
-	// instance is built per run, seeded with the cluster's derived seed,
-	// because scheduler instances carry per-run scratch.
+	// instance is built per run, seeded from the federation seed and the
+	// cluster's name, because scheduler instances carry per-run scratch.
 	NewScheduler func(seed int64) sim.Scheduler
 }
 
 // ClusterState is the carbon signal a router sees of one member cluster
-// for one job, from the federation's Signals source.
+// for one job, read from the member's own trace.
 type ClusterState struct {
-	// Intensity is the grid's carbon intensity at the job's arrival.
+	// Intensity is the trace's carbon intensity at the job's arrival.
 	Intensity float64
-	// Low and High are the forecast bounds over the job's estimated span
+	// Low and High are the trace's bounds over the job's estimated span
 	// on this cluster, max(critical path, work / effective parallelism).
 	Low, High float64
 }
@@ -86,15 +81,12 @@ type Router interface {
 	Route(clusters []ClusterState) int
 }
 
-// Federation wires clusters, a router, and a signal source together.
+// Federation wires clusters and a router together.
 type Federation struct {
 	Clusters []ClusterSpec
 	Router   Router
-	// Signals supplies routing-time intensities and forecast bounds; nil
-	// selects a trace-backed source over the clusters' own traces.
-	Signals Signals
-	// Seed drives every member simulation (domain-separated per
-	// cluster) and the per-cluster scheduler construction.
+	// Seed drives the per-cluster scheduler construction
+	// (domain-separated per cluster).
 	Seed int64
 }
 
@@ -107,7 +99,7 @@ type Result struct {
 	Summary metrics.FederationSummary
 }
 
-// clusterSeed derives a member cluster's simulation seed from the
+// clusterSeed derives a member cluster's scheduler seed from the
 // federation seed and the cluster's identity, domain-separated through
 // the same recipe the experiment engine uses for cell seeds — so adding
 // or reordering sibling clusters never perturbs an unrelated member.
@@ -122,7 +114,6 @@ func (f *Federation) validate() error {
 	if f.Router == nil {
 		return errors.New("federation: no router")
 	}
-	seen := map[string]*carbon.Trace{}
 	for i, c := range f.Clusters {
 		if c.Config.Trace == nil {
 			return fmt.Errorf("federation: cluster %d (%s) has no trace", i, c.Name)
@@ -133,13 +124,6 @@ func (f *Federation) validate() error {
 		if c.Config.NumExecutors < 1 {
 			return fmt.Errorf("federation: cluster %d (%s) has no executors", i, c.Name)
 		}
-		// Signals are grid-keyed, so clusters sharing a grid must share
-		// one trace — otherwise the router would score one cluster with
-		// another's signal.
-		if prev, ok := seen[c.Grid]; ok && prev != c.Config.Trace {
-			return fmt.Errorf("federation: clusters sharing grid %q must share one trace (signals are grid-keyed)", c.Grid)
-		}
-		seen[c.Grid] = c.Config.Trace
 	}
 	return nil
 }
@@ -157,8 +141,9 @@ func effectiveParallelism(cfg sim.Config) int {
 // Run routes the jobs, simulates every member cluster over its share,
 // and folds the federation summary. Jobs are routed in arrival order
 // (ties broken by input position); each member cluster then runs the
-// engine over its share with a derived seed. Input jobs are only read,
-// so the same batch can be fed to several routers for comparison.
+// engine over its share with its Config as given and a scheduler built
+// from a derived seed. Input jobs are only read, so the same batch can
+// be fed to several routers for comparison.
 func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -166,22 +151,6 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("federation: no jobs")
 	}
-	names := make([]string, len(f.Clusters))
-	for i, c := range f.Clusters {
-		names[i] = c.Name
-		if names[i] == "" {
-			names[i] = c.Grid
-		}
-	}
-	sig := f.Signals
-	if sig == nil {
-		traces := make(map[string]*carbon.Trace, len(f.Clusters))
-		for _, c := range f.Clusters {
-			traces[c.Grid] = c.Config.Trace
-		}
-		sig = &TraceSignals{Traces: traces}
-	}
-
 	// Route in arrival order, ties broken by input position, so the
 	// router observes the same sequence a live admission point would.
 	order := make([]int, len(jobs))
@@ -196,47 +165,17 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 	assignments := make([]int, len(jobs))
 	shares := make([][]*dag.Job, len(f.Clusters))
 	states := make([]ClusterState, len(f.Clusters))
-	// Clusters sharing a grid see identical signals; memoize per job so
-	// the ClientSignals path issues one intensity request per distinct
-	// grid and one forecast request per distinct (grid, span), not one
-	// of each per cluster.
-	type boundsKey struct {
-		grid string
-		span float64
-	}
-	type bounds struct{ lo, hi float64 }
-	intensityCache := make(map[string]float64, len(f.Clusters))
-	boundsCache := make(map[boundsKey]bounds, len(f.Clusters))
 	for _, ji := range order {
 		j := jobs[ji]
 		work, cp := j.TotalWork(), j.CriticalPathLength()
-		clear(intensityCache)
-		clear(boundsCache)
 		for ci, spec := range f.Clusters {
+			tr := spec.Config.Trace
 			span := math.Max(cp, work/float64(effectiveParallelism(spec.Config)))
 			if span <= 0 {
-				span = spec.Config.Trace.Interval
+				span = tr.Interval
 			}
-			intensity, ok := intensityCache[spec.Grid]
-			if !ok {
-				var err error
-				intensity, err = sig.Intensity(spec.Grid, j.Arrival)
-				if err != nil {
-					return nil, fmt.Errorf("federation: intensity for %s: %w", names[ci], err)
-				}
-				intensityCache[spec.Grid] = intensity
-			}
-			bk := boundsKey{grid: spec.Grid, span: span}
-			b, ok := boundsCache[bk]
-			if !ok {
-				lo, hi, err := sig.Bounds(spec.Grid, j.Arrival, span)
-				if err != nil {
-					return nil, fmt.Errorf("federation: forecast for %s: %w", names[ci], err)
-				}
-				b = bounds{lo: lo, hi: hi}
-				boundsCache[bk] = b
-			}
-			states[ci] = ClusterState{Intensity: intensity, Low: b.lo, High: b.hi}
+			lo, hi := tr.Bounds(j.Arrival, span)
+			states[ci] = ClusterState{Intensity: tr.At(j.Arrival), Low: lo, High: hi}
 		}
 		idx := f.Router.Route(states)
 		if idx < 0 || idx >= len(f.Clusters) {
@@ -258,11 +197,9 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 		if len(shares[ci]) == 0 {
 			continue
 		}
-		cfg := spec.Config
-		cfg.Seed = clusterSeed(f.Seed, names[ci], ci)
-		res, err := sim.Run(cfg, shares[ci], spec.NewScheduler(cfg.Seed))
+		res, err := sim.Run(spec.Config, shares[ci], spec.NewScheduler(clusterSeed(f.Seed, spec.Name, ci)))
 		if err != nil {
-			return nil, fmt.Errorf("federation: cluster %s: %w", names[ci], err)
+			return nil, fmt.Errorf("federation: cluster %s: %w", spec.Name, err)
 		}
 		sum.CarbonGrams += res.CarbonGrams
 		if res.ECT > sum.Makespan {

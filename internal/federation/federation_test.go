@@ -2,12 +2,10 @@ package federation
 
 import (
 	"math"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"pcaps/internal/carbon"
-	"pcaps/internal/carbonapi"
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/sched"
@@ -36,9 +34,9 @@ func stepTrace(t *testing.T, grid string, vals []float64) *carbon.Trace {
 	return tr
 }
 
-func fifoSpec(grid string, tr *carbon.Trace) ClusterSpec {
+func fifoSpec(name string, tr *carbon.Trace) ClusterSpec {
 	return ClusterSpec{
-		Grid:         grid,
+		Name:         name,
 		Config:       sim.Config{NumExecutors: 8, Trace: tr},
 		NewScheduler: func(int64) sim.Scheduler { return &sched.FIFO{} },
 	}
@@ -157,8 +155,8 @@ func TestLowestIntensityBeatsRoundRobin(t *testing.T) {
 func TestSummaryFoldsMemberRuns(t *testing.T) {
 	// Two executors leave several jobs queued at once, so Decima's
 	// seeded sampling decides the order and a wrong seed shows.
-	decimaSpec := func(grid string, tr *carbon.Trace) ClusterSpec {
-		c := fifoSpec(grid, tr)
+	decimaSpec := func(name string, tr *carbon.Trace) ClusterSpec {
+		c := fifoSpec(name, tr)
 		c.Config.NumExecutors = 2
 		c.NewScheduler = func(seed int64) sim.Scheduler { return sched.NewDecima(seed) }
 		return c
@@ -168,7 +166,7 @@ func TestSummaryFoldsMemberRuns(t *testing.T) {
 		decimaSpec("B", stepTrace(t, "B", []float64{100, 400, 100, 400, 100, 400, 100, 400})),
 		decimaSpec("C", flatTrace(t, "C", 900, 8)),
 	}
-	clusters[1].Name = "west" // the seed derives from the name, not the grid
+	clusters[1].Name = "west" // the seed derives from the name
 	const fedSeed = 9
 	// Jobs of unequal shapes, so the order Decima samples changes the
 	// JCTs and the carbon.
@@ -198,13 +196,7 @@ func TestSummaryFoldsMemberRuns(t *testing.T) {
 		if len(shares[ci]) == 0 {
 			continue
 		}
-		name := c.Name
-		if name == "" {
-			name = c.Grid
-		}
-		cfg := c.Config
-		cfg.Seed = clusterSeed(fedSeed, name, ci)
-		r, err := sim.Run(cfg, shares[ci], c.NewScheduler(cfg.Seed))
+		r, err := sim.Run(c.Config, shares[ci], c.NewScheduler(clusterSeed(fedSeed, c.Name, ci)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,55 +266,60 @@ func TestRunValidation(t *testing.T) {
 	if _, err := (&Federation{Clusters: []ClusterSpec{spec}, Router: NewRoundRobin()}).Run(jobs); err == nil {
 		t.Fatal("missing scheduler factory accepted")
 	}
-	// Clusters sharing a grid must share one trace: signals are
-	// grid-keyed, so divergent windows would score one cluster with the
-	// other's signal.
-	conflicting := []ClusterSpec{
-		fifoSpec("A", tr),
-		fifoSpec("A", flatTrace(t, "A", 500, 8)),
-	}
-	if _, err := (&Federation{Clusters: conflicting, Router: NewRoundRobin()}).Run(jobs); err == nil {
-		t.Fatal("same-grid clusters with different traces accepted")
-	}
-	// The same trace shared across same-grid clusters stays legal (the
-	// single-grid experiment baselines rely on it).
-	sharing := []ClusterSpec{fifoSpec("A", tr), fifoSpec("A", tr)}
-	if _, err := (&Federation{Clusters: sharing, Router: NewRoundRobin()}).Run(jobs); err != nil {
-		t.Fatalf("same-grid same-trace clusters rejected: %v", err)
-	}
 }
 
-// TestClientSignalsMatchTraceSignals drives the router through the
-// carbonapi HTTP server and checks the daemon path reproduces the local
-// trace-backed run exactly (the server's forecast reads the same
-// trace's window extremes).
-func TestClientSignalsMatchTraceSignals(t *testing.T) {
+// recordingRouter routes round-robin and keeps a copy of every state
+// slice it is shown.
+type recordingRouter struct {
+	RoundRobin
+	seen [][]ClusterState
+}
+
+func (r *recordingRouter) Route(clusters []ClusterState) int {
+	r.seen = append(r.seen, append([]ClusterState(nil), clusters...))
+	return r.RoundRobin.Route(clusters)
+}
+
+// TestRouterReadsMemberTraces: every member's routing state is read
+// from that member's own trace, the one its simulation charges carbon
+// against — its intensity at the job's arrival and its bounds over the
+// job's span on that member — even when two members' traces differ.
+func TestRouterReadsMemberTraces(t *testing.T) {
 	trA := stepTrace(t, "A", []float64{100, 400, 150, 380, 90, 420, 110, 400})
 	trB := stepTrace(t, "B", []float64{300, 120, 280, 110, 320, 100, 300, 130})
 	clusters := []ClusterSpec{fifoSpec("A", trA), fifoSpec("B", trB)}
-	jobs := testJobs(10, 50)
-
-	local, err := (&Federation{Clusters: clusters, Router: NewForecastAware(), Seed: 5}).Run(jobs)
-	if err != nil {
+	clusters[1].Config.PerJobCap = 2 // B's spans are longer than A's
+	jobs := make([]*dag.Job, 6)
+	for i := range jobs {
+		b := dag.NewBuilder(i, "fed")
+		b.Chain(b.Stage("map", 4+2*i, 20), b.Stage("reduce", 1, 15))
+		jobs[i] = b.MustBuild()
+		jobs[i].Arrival = float64(i) * 70
+	}
+	r := &recordingRouter{}
+	if _, err := (&Federation{Clusters: clusters, Router: r, Seed: 1}).Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-
-	srv := httptest.NewServer(carbonapi.NewServer(map[string]*carbon.Trace{"A": trA, "B": trB}))
-	defer srv.Close()
-	remote, err := (&Federation{
-		Clusters: clusters,
-		Router:   NewForecastAware(),
-		Signals:  &ClientSignals{Client: carbonapi.NewClient(srv.URL)},
-		Seed:     5,
-	}).Run(jobs)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.seen) != len(jobs) {
+		t.Fatalf("router saw %d arrivals, want %d", len(r.seen), len(jobs))
 	}
-	if !reflect.DeepEqual(local.Assignments, remote.Assignments) {
-		t.Fatalf("HTTP-backed assignments %v != trace-backed %v", remote.Assignments, local.Assignments)
-	}
-	if math.Abs(local.Summary.CarbonGrams-remote.Summary.CarbonGrams) > 1e-9 {
-		t.Fatalf("HTTP-backed carbon %v != trace-backed %v",
-			remote.Summary.CarbonGrams, local.Summary.CarbonGrams)
+	for ji, states := range r.seen {
+		j := jobs[ji]
+		for ci, c := range clusters {
+			k := c.Config.NumExecutors
+			if c.Config.PerJobCap > 0 {
+				k = c.Config.PerJobCap
+			}
+			tr := c.Config.Trace
+			span := math.Max(j.CriticalPathLength(), j.TotalWork()/float64(k))
+			lo, hi := tr.Bounds(j.Arrival, span)
+			want := ClusterState{Intensity: tr.At(j.Arrival), Low: lo, High: hi}
+			if states[ci] != want {
+				t.Errorf("job %d, cluster %s: state %+v, want %+v", ji, c.Name, states[ci], want)
+			}
+		}
+		if states[0] == states[1] {
+			t.Errorf("job %d: both clusters show %+v; the traces differ", ji, states[0])
+		}
 	}
 }

@@ -53,8 +53,8 @@ const DefaultHysteresis = 0.05
 
 // ForecastAware routes on expected carbon over the job's estimated span:
 // each cluster is scored by the midpoint of its forecast (L, U) bounds
-// over [arrival, arrival+span] (the Signals source supplies the bounds;
-// from a trace, the midpoint is the window's min/max average). A
+// over [arrival, arrival+span], the min/max average of the member's
+// trace over that window. A
 // hysteresis margin keeps the router anchored to its previous choice
 // unless a challenger is decisively better, so near-equal grids do not
 // thrash jobs — and executor move-delay and cache warmth with them —

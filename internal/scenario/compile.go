@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pcaps/internal/arrivals"
@@ -182,7 +183,8 @@ type member struct {
 	// key is the seed-derivation domain and display label (grid name,
 	// or cluster name for explicit clusters).
 	key string
-	// grid keys the carbon signals.
+	// grid names the member's power grid, which Inputs reports with
+	// the trace's synthesis seed.
 	grid string
 	// trace is the full resolved carbon trace.
 	trace *carbon.Trace
@@ -313,8 +315,8 @@ func gridClusters(grids []string) []ClusterSpec {
 // baseConfig builds one member simulation's engine configuration: the
 // paper environment the spec selects (PaperSimConfig) with the spec's
 // engine overrides applied.
-func (r *runEnv) baseConfig(tr *carbon.Trace, cellSeed int64, m member) sim.Config {
-	cfg := PaperSimConfig(r.spec.Proto, tr, cellSeed)
+func (r *runEnv) baseConfig(tr *carbon.Trace, m member) sim.Config {
+	cfg := PaperSimConfig(r.spec.Proto, tr)
 	if e := r.spec.Engine; e != nil {
 		if e.Executors > 0 {
 			cfg.NumExecutors = e.Executors
@@ -428,7 +430,7 @@ func (r *runEnv) runComparison(p *plan) (*result.Artifact, error) {
 		m := members[c.member]
 		cellSeed := seed.Derive(r.seed, m.key, int64(c.size), int64(c.trial))
 		tr := TrialWindow(m.trace, 60+c.size, cellSeed)
-		cfg := r.baseConfig(tr, cellSeed, m)
+		cfg := r.baseConfig(tr, m)
 		if r.streaming() {
 			// Hyperscale mode: each policy drains a fresh copy of the
 			// same seeded job stream through the memory-bounded engine.
@@ -606,7 +608,7 @@ func (r *runEnv) runSweep(p *plan) (*result.Artifact, error) {
 		cellSeed := seed.Derive(r.seed, m.key, int64(t))
 		jobs := r.batch(n, cellSeed)
 		tr := TrialWindow(m.trace, 60+n, cellSeed)
-		cfg := r.baseConfig(tr, cellSeed, m)
+		cfg := r.baseConfig(tr, m)
 		scheds := make([]sim.Scheduler, 0, len(values)+1)
 		scheds = append(scheds, baseline(cellSeed))
 		for i := range values {
@@ -666,6 +668,22 @@ func (a *fedAgg) summary() metrics.FederationSummary {
 		Makespan:    a.sumMakespan / n,
 		AvgJCT:      a.sumJCT / n,
 	}
+}
+
+// memberSizes renders the members' executor counts for a federation
+// header: the one count when every member has it, else each member's
+// count in member order, joined by "/".
+func (r *runEnv) memberSizes(members []member) string {
+	sizes := make([]string, len(members))
+	same := true
+	for i, m := range members {
+		sizes[i] = strconv.Itoa(r.baseConfig(nil, m).NumExecutors)
+		same = same && sizes[i] == sizes[0]
+	}
+	if same {
+		return sizes[0]
+	}
+	return strings.Join(sizes, "/")
 }
 
 func (r *runEnv) runFederation(p *plan) (*result.Artifact, error) {
@@ -751,8 +769,7 @@ func (r *runEnv) runFederation(p *plan) (*result.Artifact, error) {
 				m := members[src]
 				clusters[ci] = fed.ClusterSpec{
 					Name:         fmt.Sprintf("%s-%d", m.key, ci),
-					Grid:         m.grid,
-					Config:       r.baseConfig(windows[src], cellSeed, m),
+					Config:       r.baseConfig(windows[src], m),
 					NewScheduler: v.sched,
 				}
 			}
@@ -800,9 +817,8 @@ func (r *runEnv) runFederation(p *plan) (*result.Artifact, error) {
 		}
 		baselineName := routerName(f.Routers[0])
 		base := agg[baselineName].summary()
-		memberK := r.baseConfig(nil, 0, members[0]).NumExecutors
-		art.Textf("scenario %s — %d clusters × %d executors, %d jobs, avg of %d trial(s):\n",
-			topoKey(members), len(members), memberK, njobs, trials)
+		art.Textf("scenario %s — %d clusters × %s executors, %d jobs, avg of %d trial(s):\n",
+			topoKey(members), len(members), r.memberSizes(members), njobs, trials)
 		t := &result.Table{Name: topoKey(members), Columns: cols}
 		for _, v := range variants {
 			s := agg[v.name].summary()

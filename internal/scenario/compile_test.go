@@ -10,6 +10,7 @@ import (
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/carbonapi"
+	"pcaps/internal/result"
 	"pcaps/internal/sched"
 )
 
@@ -191,6 +192,58 @@ func TestFederationPriceColumn(t *testing.T) {
 	}
 	if body := renderText(t, prog, Env{Fast: true}); !strings.Contains(body, "cost (USD)") {
 		t.Fatalf("priced federation missing cost column:\n%s", body)
+	}
+}
+
+// runFast parses, compiles and runs a spec in fast mode.
+func runFast(t *testing.T, spec string) *result.Artifact {
+	t.Helper()
+	s, err := Parse([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(*s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := prog.Run(Env{Fast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// TestFederationMembersShareGrid: members on one grid draw different
+// trial windows, since a member's window seed derives from the member,
+// and each is routed on its own window. The spec runs and prints one
+// row per router under a header naming the common member size.
+func TestFederationMembersShareGrid(t *testing.T) {
+	art := runFast(t, `{"name":"twode","seed":3,"clusters":[{"name":"a","grid":"DE"},{"name":"b","grid":"DE"},{"name":"c","grid":"ON"}],
+		"workload":{"mix":"tpch","jobs":8},
+		"federation":{"routers":[{"kind":"round-robin"},{"kind":"lowest-intensity"}]}}`)
+	var rows []string
+	for _, b := range art.Blocks {
+		if tb, ok := b.(*result.Table); ok {
+			for _, row := range tb.Rows {
+				rows = append(rows, row[0].S)
+			}
+		}
+	}
+	if want := []string{"fed:round-robin", "fed:lowest-intensity"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %v, want %v", rows, want)
+	}
+	if body, want := art.Body(), "scenario a+b+c — 3 clusters × 100 executors, 8 jobs"; !strings.Contains(body, want) {
+		t.Fatalf("header missing %q:\n%s", want, body)
+	}
+}
+
+// TestFederationHeaderMemberSizes: members of different sizes are each
+// named in the header, in member order.
+func TestFederationHeaderMemberSizes(t *testing.T) {
+	body := runFast(t, `{"name":"fx","seed":3,"clusters":[{"name":"a","grid":"DE","executors":50},{"name":"c","grid":"ON","executors":200}],
+		"workload":{"mix":"tpch","jobs":8},"federation":{"routers":[{"kind":"round-robin"}]}}`).Body()
+	if want := "scenario a+c — 2 clusters × 50/200 executors, 8 jobs"; !strings.Contains(body, want) {
+		t.Fatalf("header missing %q:\n%s", want, body)
 	}
 }
 

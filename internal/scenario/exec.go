@@ -220,8 +220,8 @@ func TrialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trac
 }
 
 // PaperSimConfig returns the engine configuration of one of the paper's
-// two cluster environments, with the given trace and seed. It is the
-// only definition of either.
+// two cluster environments, with the given trace. It is the only
+// definition of either.
 //
 // The Spark-standalone simulator (§5.2) has 100 shared executors that
 // applications retain under dynamic allocation until a 60-second idle
@@ -231,7 +231,7 @@ func TrialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trac
 // two executor pods each. Pod startup (3 s) is the cross-job move
 // delay, Spark caps an application at 25 executors, and idle pods
 // linger for executorIdleTimeout (60 s).
-func PaperSimConfig(proto bool, tr *carbon.Trace, seed int64) sim.Config {
+func PaperSimConfig(proto bool, tr *carbon.Trace) sim.Config {
 	if proto {
 		return sim.Config{
 			NumExecutors:  50 * 2,
@@ -240,7 +240,6 @@ func PaperSimConfig(proto bool, tr *carbon.Trace, seed int64) sim.Config {
 			PerJobCap:     25,
 			HoldExecutors: true,
 			IdleTimeout:   60,
-			Seed:          seed,
 		}
 	}
 	return sim.Config{
@@ -249,6 +248,5 @@ func PaperSimConfig(proto bool, tr *carbon.Trace, seed int64) sim.Config {
 		MoveDelay:     1,
 		HoldExecutors: true,
 		IdleTimeout:   60,
-		Seed:          seed,
 	}
 }

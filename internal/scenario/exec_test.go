@@ -135,10 +135,10 @@ func TestPaperConfig(t *testing.T) {
 		proto bool
 		want  sim.Config
 	}{
-		{false, sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 1, HoldExecutors: true, IdleTimeout: 60, Seed: 7}},
-		{true, sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 3, PerJobCap: 25, HoldExecutors: true, IdleTimeout: 60, Seed: 7}},
+		{false, sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 1, HoldExecutors: true, IdleTimeout: 60}},
+		{true, sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 3, PerJobCap: 25, HoldExecutors: true, IdleTimeout: 60}},
 	} {
-		if got := PaperSimConfig(tc.proto, tr, 7); !reflect.DeepEqual(got, tc.want) {
+		if got := PaperSimConfig(tc.proto, tr); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("PaperSimConfig(proto=%t) = %+v, want %+v", tc.proto, got, tc.want)
 		}
 	}
@@ -153,7 +153,7 @@ func TestPrototypeTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PaperSimConfig(true, tr, 0)
+	cfg := PaperSimConfig(true, tr)
 
 	def := mustSim(t, cfg, jobs, sched.NewKubeDefault())
 	dec := mustSim(t, cfg, jobs, sched.NewDecima(3))
@@ -186,10 +186,10 @@ func TestFig15FidelityContrast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	standalone := PaperSimConfig(true, tr, 0)
+	standalone := PaperSimConfig(true, tr)
 	standalone.PerJobCap = 0 // standalone FIFO over-assigns freely
 	fifo := mustSim(t, standalone, jobs, &sched.FIFO{})
-	proto := mustSim(t, PaperSimConfig(true, tr, 0), jobs, sched.NewKubeDefault())
+	proto := mustSim(t, PaperSimConfig(true, tr), jobs, sched.NewKubeDefault())
 	if proto.CarbonGrams >= fifo.CarbonGrams {
 		t.Fatalf("prototype carbon %v not below standalone %v", proto.CarbonGrams, fifo.CarbonGrams)
 	}
